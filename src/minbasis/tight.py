@@ -3,17 +3,28 @@
 A simple cycle is tight when, for every pair of its vertices, one of the
 two cycle arcs is the shortest path between them.  Because the
 tie-broken metric makes shortest paths unique, every tight cycle arises
-as ``path(v,x) + edge(x,y) + path(y,v)`` for some vertex v and edge
-(x,y), so candidate generation over all (v, e) pairs followed by the
-pairwise tightness filter is complete.
+as a Horton candidate ``C(v, e) = path(v,x) + edge(x,y) + path(y,v)``
+for some vertex v and edge e = (x,y).
+
+Tightness is decided by multiplicity (Amaldi, Iuliano and Rizzi,
+*Efficient deterministic algorithms for finding a minimum cycle basis in
+undirected graphs*, IPCO 2010): with unique shortest paths, a candidate
+is tight exactly when every one of its vertices generates it.  A root
+generates a given edge set at most once (two joining edges would make
+the tree contain a cycle), so the enumerator counts how often each edge
+set occurs and keeps those whose count equals their vertex count, which
+for a simple cycle is its edge count.  It needs one shortest-path tree
+at a time and never the all-pairs distance table.  ``is_tight`` keeps
+the pairwise definition as an independent checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .gf2 import Gf2Vector
-from .graph import AllPairs, Cycle, Graph, PerturbedWeight, SpTree, apsp
+from .graph import AllPairs, Cycle, Graph, PerturbedWeight, SpTree, cyclomatic_number, dijkstra
 
 
 @dataclass
@@ -41,15 +52,16 @@ def _path_masks(g: Graph, tree: SpTree) -> tuple[list[int], list[int]]:
     return emask, vmask
 
 
-def horton_candidates(g: Graph, trees: list[SpTree]) -> list[Cycle]:
-    """Candidate cycles path(v,x) + (x,y) + path(y,v) over all v and (x,y).
+def _count_candidates(g: Graph, trees: Iterable[SpTree]) -> dict[int, list[int]]:
+    """Horton candidate masks mapped to [times generated, weight base].
 
-    Keeps only combinations where the two paths share no vertex besides v
-    and the joining edge lies on neither path; each such edge set is a
-    simple cycle.  Candidates are deduplicated and sorted by weight.
+    A candidate path(v,x) + (x,y) + path(y,v) is kept only when the two
+    paths share no vertex besides v and the joining edge lies on neither
+    path; each such edge set is a simple cycle.  No tree is kept after
+    its candidates are counted, so a generator of trees holds memory to
+    about one tree at a time.
     """
-    seen: set[int] = set()
-    out: list[Cycle] = []
+    counts: dict[int, list[int]] = {}
     for tree in trees:
         emask, vmask = _path_masks(g, tree)
         root_bit = 1 << tree.root
@@ -65,15 +77,26 @@ def horton_candidates(g: Graph, trees: list[SpTree]) -> list[Cycle]:
             if path_edges & e_bit:
                 continue
             mask = path_edges | e_bit
-            if mask in seen:
-                continue
-            seen.add(mask)
-            base = dx.base + dy.base + e.w
-            out.append(
-                Cycle(Gf2Vector(g.m, mask), PerturbedWeight(base, mask), mask.bit_count())
-            )
-    out.sort(key=lambda c: c.weight)
-    return out
+            entry = counts.get(mask)
+            if entry is None:
+                counts[mask] = [1, dx.base + dy.base + e.w]
+            else:
+                entry[0] += 1
+    return counts
+
+
+def _sorted_cycles(g: Graph, bases_and_masks: Iterable[tuple[int, int]]) -> list[Cycle]:
+    """Cycles of simple edge sets, sorted by tie-broken weight (base, mask)."""
+    return [
+        Cycle(Gf2Vector(g.m, mask), PerturbedWeight(base, mask), mask.bit_count())
+        for base, mask in sorted(bases_and_masks)
+    ]
+
+
+def horton_candidates(g: Graph, trees: Iterable[SpTree]) -> list[Cycle]:
+    """Every distinct candidate path(v,x) + (x,y) + path(y,v), sorted by weight."""
+    counts = _count_candidates(g, trees)
+    return _sorted_cycles(g, ((base, mask) for mask, (_, base) in counts.items()))
 
 
 def _cycle_walk(g: Graph, cycle: Cycle) -> tuple[list[int], list[int]]:
@@ -149,10 +172,18 @@ def is_tight(cycle: Cycle, pairs: AllPairs) -> bool:
 
 
 def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycleSet:
-    """All tight cycles of the graph, sorted by tie-broken weight."""
-    if pairs is None:
-        pairs = apsp(g)
-    candidates = horton_candidates(g, pairs.trees)
-    cycles = [c for c in candidates if is_tight(c, pairs)]
+    """All tight cycles of the graph, sorted by tie-broken weight.
+
+    Uses ``pairs.trees`` when given; otherwise runs one Dijkstra per root
+    and drops each tree once its candidates are counted.
+    """
+    if cyclomatic_number(g) == 0:
+        return TightCycleSet([], 0)
+    trees = pairs.trees if pairs is not None else (dijkstra(g, r) for r in range(g.n))
+    counts = _count_candidates(g, trees)
+    cycles = _sorted_cycles(
+        g,
+        ((base, mask) for mask, (times, base) in counts.items() if times == mask.bit_count()),
+    )
     total_length = sum(c.edge_count() for c in cycles)
     return TightCycleSet(cycles, total_length)

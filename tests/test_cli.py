@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import minbasis
 from minbasis import cli
 from minbasis.fixtures import (
     k4,
@@ -250,10 +253,16 @@ def test_oracle_hidden_from_help():
 
 
 def test_module_entry_point(k4_file):
+    # The child imports the same package as this test, even when pytest's
+    # pythonpath setting (not the environment) put it on sys.path.
+    src = str(Path(minbasis.__file__).resolve().parent.parent)
+    pythonpath = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
     proc = subprocess.run(
         [sys.executable, "-m", "minbasis", "mcb", str(k4_file), "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total_weight"] == 9

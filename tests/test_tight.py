@@ -13,7 +13,7 @@ from minbasis.fixtures import (
     random_connected_graph,
 )
 from minbasis.gf2 import Gf2Matrix, rank
-from minbasis.graph import apsp, cycle_from_edges, cyclomatic_number
+from minbasis.graph import MAX_WEIGHT, Graph, apsp, cycle_from_edges, cyclomatic_number
 from minbasis.oracle import brute_tight_cycles
 from minbasis.tight import enumerate_tight_cycles, horton_candidates, is_tight
 
@@ -125,6 +125,16 @@ def test_enumerate_tree_empty():
     assert tcs.cycles == [] and tcs.total_length == 0
 
 
+@pytest.mark.parametrize("g", [path_graph(50), Graph(3000)], ids=["path50", "edgeless3000"])
+def test_enumerate_forest_runs_no_dijkstra(monkeypatch, g):
+    def no_dijkstra(graph, root):
+        raise AssertionError("shortest-path tree built for a forest")
+
+    monkeypatch.setattr("minbasis.tight.dijkstra", no_dijkstra)
+    tcs = enumerate_tight_cycles(g)
+    assert tcs.cycles == [] and tcs.total_length == 0
+
+
 def test_enumerate_petersen():
     g = petersen()
     tcs = enumerate_tight_cycles(g)
@@ -172,3 +182,35 @@ def test_total_length_bound_and_rank(g):
         assert rank(m) == nu
     else:
         assert nu == 0
+
+
+def _hostile_graph(rng):
+    """n = 30..60 with parallel edges, zero weights and weights at MAX_WEIGHT;
+    about one in three drops a tree edge and so is disconnected."""
+    n = rng.randint(30, 60)
+    palette = rng.choice([(0, 1, 2), (0, 1, MAX_WEIGHT - 1, MAX_WEIGHT), (0, MAX_WEIGHT)])
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    if rng.randrange(3) == 0:
+        edges.pop(rng.randrange(len(edges)))
+    for _ in range(rng.randint(n // 3, n)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    edges += rng.sample(edges, rng.randint(1, 8))  # parallel copies
+    rng.shuffle(edges)
+    return Graph(n, [(u, v, rng.choice(palette)) for u, v in edges])
+
+
+def test_multiplicity_matches_pairwise_filter_past_oracle_budget():
+    rng = random.Random(2010)
+    for _ in range(40):
+        g = _hostile_graph(rng)
+        pairs = apsp(g)
+        streamed = enumerate_tight_cycles(g)
+        from_pairs = enumerate_tight_cycles(g, pairs)
+        filtered = [c for c in horton_candidates(g, pairs.trees) if is_tight(c, pairs)]
+        want = [(c.weight.base, c.mask) for c in filtered]
+        assert [(c.weight.base, c.mask) for c in streamed.cycles] == want
+        assert [(c.weight.base, c.mask) for c in from_pairs.cycles] == want
+        assert streamed.total_length == from_pairs.total_length == sum(
+            c.edge_count() for c in filtered
+        )
