@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input or validation problems, 2 broken internal
-invariants.  Reports go to stdout and are byte-identical across runs for
+invariants or exhausted memory or recursion depth.  Reports go to stdout and are byte-identical across runs for
 identical inputs; diagnostics and benchmark timings go to stderr.
 """
 
@@ -12,7 +12,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from . import fixtures, oracle
@@ -49,7 +49,6 @@ class RunConfig:
     auto_close: bool = False
     oracle_mode: Optional[str] = None
     out_dir: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
 
 def build_parser() -> _Parser:
@@ -379,6 +378,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except (InternalInvariantError, SingularMatrixError) as exc:
         err.write(f"internal error: {exc}\n")
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        detail = (str(exc) or "out of resources").splitlines()[0]
+        err.write(f"internal error: {type(exc).__name__}: {detail}\n")
         return 2
     except (ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")

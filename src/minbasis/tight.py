@@ -16,6 +16,21 @@ set occurs and keeps those whose count equals their vertex count, which
 for a simple cycle is its edge count.  It needs one shortest-path tree
 at a time and never the all-pairs distance table.  ``is_tight`` keeps
 the pairwise definition as an independent checker.
+
+Every cycle lies inside one biconnected block (Horton, *A polynomial-time
+algorithm to find the shortest cycle basis of a graph*, SIAM J. Comput.
+1987), so enumeration runs block by block: an iterative Tarjan lowpoint
+pass finds the blocks with at least two edges, and Dijkstra runs only
+from the vertices of such a block and only inside it.  Vertices on no
+cycle (forests, pendant trees, bridges) get no shortest-path tree, so
+those parts cost O(n + m).  Each block is
+relabeled with its vertices and edges in increasing original order; the
+tie-break compares edge bit sets as integers, and a monotone relabeling
+keeps every such comparison, so the shortest paths, the candidates and
+their multiplicities are those of the whole graph.  A simple shortest
+path between two block vertices never leaves the block, and a candidate
+whose joining edge lies in a block without its root has both paths
+through the same cut vertex, so the simple-cycle test rejects it.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .gf2 import Gf2Vector
-from .graph import AllPairs, Cycle, Graph, PerturbedWeight, SpTree, cyclomatic_number, dijkstra
+from .graph import AllPairs, Cycle, Graph, PerturbedWeight, SpTree, dijkstra
 
 
 @dataclass
@@ -171,19 +186,104 @@ def is_tight(cycle: Cycle, pairs: AllPairs) -> bool:
     return True
 
 
+def _cyclic_blocks(g: Graph) -> list[list[int]]:
+    """Sorted edge indices of each biconnected block with at least two edges.
+
+    Iterative Tarjan lowpoint search in O(n + m).  A DFS step skips the
+    edge it arrived by, not the vertex it came from, so a parallel edge
+    back to the parent counts as a back edge and parallel pairs form a
+    block.  Edges are pushed on a stack as they are explored; when a
+    child's lowpoint does not reach above its parent, the edges down to
+    the tree edge into that child are one block.
+    """
+    edges = g.edges
+    disc = [0] * g.n  # discovery time, 0 = unvisited
+    low = [0] * g.n
+    clock = 0
+    edge_stack: list[int] = []
+    blocks: list[list[int]] = []
+    for start in range(g.n):
+        if disc[start]:
+            continue
+        clock += 1
+        disc[start] = low[start] = clock
+        # frames: (vertex, index of the tree edge into it, incident-edge iterator)
+        stack = [(start, -1, iter(g.incident(start)))]
+        while stack:
+            v, in_edge, rest = stack[-1]
+            for e_idx in rest:
+                if e_idx == in_edge:
+                    continue
+                e = edges[e_idx]
+                u = e.v if v == e.u else e.u
+                if not disc[u]:
+                    edge_stack.append(e_idx)
+                    clock += 1
+                    disc[u] = low[u] = clock
+                    stack.append((u, e_idx, iter(g.incident(u))))
+                    break
+                if disc[u] < disc[v]:  # back edge to an ancestor
+                    edge_stack.append(e_idx)
+                    if disc[u] < low[v]:
+                        low[v] = disc[u]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    block = []
+                    while True:
+                        f = edge_stack.pop()
+                        block.append(f)
+                        if f == in_edge:
+                            break
+                    if len(block) >= 2:
+                        block.sort()
+                        blocks.append(block)
+    return blocks
+
+
+def _block_graph(g: Graph, block: list[int]) -> Graph:
+    """The block as a graph, vertices and edges relabeled in increasing order."""
+    verts = sorted({x for e_idx in block for x in g.edges[e_idx][:2]})
+    local = {v: i for i, v in enumerate(verts)}
+    edges = (g.edges[e_idx] for e_idx in block)
+    return Graph(len(verts), ((local[e.u], local[e.v], e.w) for e in edges))
+
+
+def _lift(mask: int, block: list[int]) -> int:
+    """Map a block-local edge mask back to original edge indices."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << block[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycleSet:
     """All tight cycles of the graph, sorted by tie-broken weight.
 
-    Uses ``pairs.trees`` when given; otherwise runs one Dijkstra per root
-    and drops each tree once its candidates are counted.
+    Works one biconnected block at a time: for each block with at least
+    two edges it builds the block as a monotonically relabeled graph, runs
+    one Dijkstra per block vertex (each tree dropped once its candidates
+    are counted), keeps the candidates generated by all their vertices,
+    and maps them back to the original edge indices.  The merged list is
+    sorted by (weight, edge bit set).  ``pairs`` is accepted for existing
+    callers and ignored; the result does not depend on it.
     """
-    if cyclomatic_number(g) == 0:
-        return TightCycleSet([], 0)
-    trees = pairs.trees if pairs is not None else (dijkstra(g, r) for r in range(g.n))
-    counts = _count_candidates(g, trees)
-    cycles = _sorted_cycles(
-        g,
-        ((base, mask) for mask, (times, base) in counts.items() if times == mask.bit_count()),
-    )
+    kept: list[tuple[int, int]] = []
+    for block in _cyclic_blocks(g):
+        sub = _block_graph(g, block)
+        counts = _count_candidates(sub, (dijkstra(sub, r) for r in range(sub.n)))
+        kept.extend(
+            (base, _lift(mask, block))
+            for mask, (times, base) in counts.items()
+            if times == mask.bit_count()
+        )
+    cycles = _sorted_cycles(g, kept)
     total_length = sum(c.edge_count() for c in cycles)
     return TightCycleSet(cycles, total_length)

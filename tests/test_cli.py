@@ -166,6 +166,18 @@ def test_internal_error_exit_2(k4_file, monkeypatch):
     assert err.startswith("internal error:") and out == ""
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), RecursionError("maximum recursion depth exceeded")])
+def test_resource_exhaustion_exit_2(k4_file, monkeypatch, exc):
+    def exhausted(g, tight=None):
+        raise exc
+
+    monkeypatch.setitem(cli.ENGINES, "earliest", exhausted)
+    code, out, err = run_cli(["mcb", str(k4_file)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"internal error: {type(exc).__name__}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_deterministic_output(k4_file, torus_file):
     for argv in (
         ["mcb", str(k4_file), "--format", "json"],

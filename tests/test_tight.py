@@ -13,7 +13,7 @@ from minbasis.fixtures import (
     random_connected_graph,
 )
 from minbasis.gf2 import Gf2Matrix, rank
-from minbasis.graph import MAX_WEIGHT, Graph, apsp, cycle_from_edges, cyclomatic_number
+from minbasis.graph import MAX_WEIGHT, Graph, apsp, cycle_from_edges, cyclomatic_number, dijkstra
 from minbasis.oracle import brute_tight_cycles
 from minbasis.tight import enumerate_tight_cycles, horton_candidates, is_tight
 
@@ -200,10 +200,44 @@ def _hostile_graph(rng):
     return Graph(n, [(u, v, rng.choice(palette)) for u, v in edges])
 
 
+def _glued_graph(rng):
+    """Up to nine cyclic blocks (rings of 2..6 vertices, a 2-ring being a
+    parallel pair, plus chords) glued at cut vertices, hung off bridges or
+    started as new components, with pendant tree vertices; vertex labels
+    and edge order are shuffled so the blocks interleave in index order."""
+    palette = rng.choice([(0, 1, 2), (0, 1, MAX_WEIGHT - 1, MAX_WEIGHT), (0, MAX_WEIGHT), (1,)])
+    n = 1
+    edges = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if kind < 0.2:
+            at = n  # new component
+            n += 1
+        elif kind < 0.5:
+            at = n  # hangs off a bridge
+            edges.append((rng.randrange(n), n))
+            n += 1
+        else:
+            at = rng.randrange(n)  # glued at a cut vertex
+        k = rng.randint(2, 6)
+        ring = [at, *range(n, n + k - 1)]
+        n += k - 1
+        edges += [(ring[i], ring[(i + 1) % k]) for i in range(k)] if k > 2 else [tuple(ring)] * 2
+        for _ in range(rng.randint(0, 2)):
+            edges.append(tuple(rng.sample(ring, 2)))
+    for _ in range(rng.randint(0, 8)):  # pendant tree vertices
+        edges.append((rng.randrange(n), n))
+        n += 1
+    label = list(range(n))
+    rng.shuffle(label)
+    rng.shuffle(edges)
+    return Graph(n, [(label[u], label[v], rng.choice(palette)) for u, v in edges])
+
+
 def test_multiplicity_matches_pairwise_filter_past_oracle_budget():
     rng = random.Random(2010)
-    for _ in range(40):
-        g = _hostile_graph(rng)
+    graphs = [_hostile_graph(rng) for _ in range(40)] + [_glued_graph(rng) for _ in range(200)]
+    for g in graphs:
         pairs = apsp(g)
         streamed = enumerate_tight_cycles(g)
         from_pairs = enumerate_tight_cycles(g, pairs)
@@ -214,3 +248,25 @@ def test_multiplicity_matches_pairwise_filter_past_oracle_budget():
         assert streamed.total_length == from_pairs.total_length == sum(
             c.edge_count() for c in filtered
         )
+
+
+def test_enumerate_runs_dijkstra_only_inside_cyclic_blocks(monkeypatch):
+    calls = []
+
+    def counting_dijkstra(graph, root):
+        calls.append(graph.n)
+        return dijkstra(graph, root)
+
+    monkeypatch.setattr("minbasis.tight.dijkstra", counting_dijkstra)
+    path = path_graph(50)
+    g = Graph(51, [*path.edges, (48, 50, 1), (49, 50, 1)])  # triangle at the end
+    tcs = enumerate_tight_cycles(g)
+    assert [c.edge_indices() for c in tcs.cycles] == [(48, 49, 50)]
+    assert calls == [3, 3, 3]
+
+
+def test_enumerate_long_path_has_no_recursion_limit():
+    n = 100_000
+    g = Graph(n, [*path_graph(n).edges, (n - 3, n - 1, 1)])
+    tcs = enumerate_tight_cycles(g)
+    assert [c.edge_indices() for c in tcs.cycles] == [(n - 3, n - 2, n - 1)]
