@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input or validation problems, 2 broken internal
-invariants or exhausted memory or recursion depth.  Reports go to stdout and are byte-identical across runs for
-identical inputs; diagnostics and benchmark timings go to stderr.
+invariants or exhausted memory or recursion depth.  Reports go to
+stdout and are byte-identical across runs for identical inputs;
+diagnostics and benchmark timings go to stderr.
 """
 
 from __future__ import annotations

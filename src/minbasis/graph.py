@@ -93,9 +93,9 @@ class Graph:
         """Sum of weights of the edges in a bit mask."""
         total = 0
         while mask:
-            low = mask & -mask
-            total += self.edges[low.bit_length() - 1].w
-            mask ^= low
+            i = mask.bit_length() - 1  # the top bit: clearing it also shortens the int
+            total += self.edges[i].w
+            mask ^= 1 << i
         return total
 
     def __repr__(self):
@@ -184,41 +184,78 @@ class SpTree:
         return out
 
 
+Adjacency = list[list[tuple[int, int, int]]]
+
+
+def weighted_adjacency(n: int, edges: Iterable[tuple[int, int, int]]) -> Adjacency:
+    """Per-vertex ``(neighbor, weight, edge bit)`` tuples in edge order; bit i is edge i."""
+    adj: Adjacency = [[] for _ in range(n)]
+    bit = 1
+    for u, v, w in edges:
+        adj[u].append((v, w, bit))
+        adj[v].append((u, w, bit))
+        bit <<= 1
+    return adj
+
+
+def shortest_path_keys(adj: Adjacency, root: int) -> tuple[list[Optional[int]], list[int]]:
+    """Tie-broken shortest-path keys from ``root``: the one Dijkstra loop.
+
+    Returns lists ``base`` and ``tie``: ``tie[v]`` is the edge bit set of
+    the unique shortest root -> v path under the (weight, edge bit set)
+    order and ``base[v]`` its weight.  Unreachable vertices get base None
+    and tie 0.
+    """
+    base: list[Optional[int]] = [None] * len(adj)
+    tie = [0] * len(adj)
+    base[root] = 0
+    heap = [(0, 0, root)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        b, t, v = pop(heap)
+        if t != tie[v]:
+            continue  # stale entry
+        for u, w, bit in adj[v]:
+            c = b + w
+            bu = base[u]
+            if bu is None or c < bu or c == bu and t | bit < tie[u]:
+                base[u] = c
+                tie[u] = ct = t | bit
+                push(heap, (c, ct, u))
+    return base, tie
+
+
+def _sp_tree(g: Graph, adj: Adjacency, root: int, vertices: list[int]) -> SpTree:
+    """The kernel's keys from ``root`` as an SpTree.
+
+    Settle order strictly increases in (base, tie), even with zero
+    weights, so ``order`` is the reachable ``vertices`` sorted by key; one
+    shared id list keeps the n orders of ``apsp`` from holding n² ints.
+    The parent edge of v is its one edge on the root -> v path; ``adj[v]``
+    lists v's edges in ``g.incident(v)`` order.
+    """
+    base, tie = shortest_path_keys(adj, root)
+    order = sorted((v for v in vertices if base[v] is not None), key=lambda v: (base[v], tie[v]))
+    tree = SpTree(root, [None] * g.n, [None] * g.n, [None] * g.n, order)
+    for v in order:
+        t = tie[v]
+        tree.dist[v] = PerturbedWeight(base[v], t)
+        for e_idx, (u, _, bit) in zip(g.incident(v), adj[v]):
+            if t & bit:  # never at the root, whose tie is 0
+                tree.parent_edge[v], tree.parent_vertex[v] = e_idx, u
+                break
+    return tree
+
+
 def dijkstra(g: Graph, root: int) -> SpTree:
     """Single-source shortest paths with exact tie-breaking.
 
-    Deterministic for a fixed graph: all comparisons use the
-    (weight, edge bit set) order, under which path keys are unique.
+    Derived from ``shortest_path_keys``: ``dist[v]`` is the (weight, edge
+    bit set) key of the unique shortest path, so the tree is deterministic.
     """
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
-    dist: list[Optional[tuple[int, int]]] = [None] * g.n
-    parent_edge: list[Optional[int]] = [None] * g.n
-    parent_vertex: list[Optional[int]] = [None] * g.n
-    order: list[int] = []
-    dist[root] = (0, 0)
-    heap: list[tuple[int, int, int]] = [(0, 0, root)]
-    while heap:
-        b, t, v = heapq.heappop(heap)
-        if (b, t) != dist[v]:
-            continue  # stale entry
-        order.append(v)
-        for e_idx in g.incident(v):
-            e = g.edges[e_idx]
-            u = e.v if v == e.u else e.u
-            cand = (b + e.w, t | (1 << e_idx))
-            if dist[u] is None or cand < dist[u]:
-                dist[u] = cand
-                parent_edge[u] = e_idx
-                parent_vertex[u] = v
-                heapq.heappush(heap, (cand[0], cand[1], u))
-    return SpTree(
-        root,
-        [PerturbedWeight(*d) if d is not None else None for d in dist],
-        parent_edge,
-        parent_vertex,
-        order,
-    )
+    return _sp_tree(g, weighted_adjacency(g.n, g.edges), root, list(range(g.n)))
 
 
 @dataclass
@@ -231,32 +268,16 @@ class AllPairs:
 
 
 def apsp(g: Graph) -> AllPairs:
-    """All-pairs shortest paths: one Dijkstra run per root."""
-    trees = [dijkstra(g, r) for r in range(g.n)]
+    """All-pairs shortest paths: one kernel run per root over one adjacency."""
+    adj, vertices = weighted_adjacency(g.n, g.edges), list(range(g.n))
+    trees = [_sp_tree(g, adj, r, vertices) for r in vertices]
     table = [list(t.dist) for t in trees]
     return AllPairs(g, trees, table)
 
 
-def component_labels(g: Graph) -> list[int]:
-    """Connected-component label per vertex (labels are root vertex ids)."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    return [find(v) for v in range(g.n)]
-
-
 def component_count(g: Graph) -> int:
-    labels = component_labels(g)
-    return len(set(labels))
+    """Number of connected components: n minus the spanning forest's size."""
+    return g.n - len(spanning_forest(g)[0])
 
 
 def is_connected(g: Graph) -> bool:

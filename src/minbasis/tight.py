@@ -13,24 +13,26 @@ is tight exactly when every one of its vertices generates it.  A root
 generates a given edge set at most once (two joining edges would make
 the tree contain a cycle), so the enumerator counts how often each edge
 set occurs and keeps those whose count equals their vertex count, which
-for a simple cycle is its edge count.  It needs one shortest-path tree
-at a time and never the all-pairs distance table.  ``is_tight`` keeps
-the pairwise definition as an independent checker.
+for a simple cycle is its edge count.  Candidates come straight from the
+shortest-path kernel's tie masks: the tie mask of x is the edge set of
+the root -> x path, and the two paths of a candidate meet only at the
+root exactly when their edge masks are disjoint.  One root's masks are
+held at a time, never the all-pairs table.  ``is_tight`` keeps the
+pairwise definition as an independent checker.
 
 Every cycle lies inside one biconnected block (Horton, *A polynomial-time
 algorithm to find the shortest cycle basis of a graph*, SIAM J. Comput.
-1987), so enumeration runs block by block: an iterative Tarjan lowpoint
-pass finds the blocks with at least two edges, and Dijkstra runs only
-from the vertices of such a block and only inside it.  Vertices on no
-cycle (forests, pendant trees, bridges) get no shortest-path tree, so
-those parts cost O(n + m).  Each block is
-relabeled with its vertices and edges in increasing original order; the
-tie-break compares edge bit sets as integers, and a monotone relabeling
-keeps every such comparison, so the shortest paths, the candidates and
-their multiplicities are those of the whole graph.  A simple shortest
-path between two block vertices never leaves the block, and a candidate
-whose joining edge lies in a block without its root has both paths
-through the same cut vertex, so the simple-cycle test rejects it.
+1987), so an iterative Tarjan lowpoint pass finds the blocks with at
+least two edges and the kernel runs only from their vertices and only
+inside them; forests, pendant trees and bridges cost O(n + m).  Each
+block's adjacency is built with its vertices and edges relabeled in
+increasing original order.  The tie-break compares edge bit sets as
+integers and a monotone relabeling keeps every such comparison, so the
+shortest paths, candidates and multiplicities are those of the whole
+graph: a simple shortest path between two block vertices never leaves
+the block, and a candidate whose joining edge lies in a block without
+its root has both paths through the same cut vertex, so the simple-cycle
+test rejects it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .gf2 import Gf2Vector
-from .graph import AllPairs, Cycle, Graph, PerturbedWeight, SpTree, dijkstra
+from .graph import AllPairs, Cycle, Graph, PerturbedWeight, SpTree
+from .graph import shortest_path_keys, weighted_adjacency
 
 
 @dataclass
@@ -50,68 +53,51 @@ class TightCycleSet:
     total_length: int  # sum of edge counts
 
 
-def _path_masks(g: Graph, tree: SpTree) -> tuple[list[int], list[int]]:
-    """Per-vertex (edge mask, vertex mask) of the tree path from the root.
+def _count_candidates(
+    edges: Iterable[tuple[int, int, int]], ties: Iterable[list[int]]
+) -> dict[int, int]:
+    """Horton candidate masks mapped to the number of roots generating them.
 
-    Unreachable vertices get mask 0 and must be screened via tree.dist.
+    ``ties`` yields one root's tie list at a time, ``tie[x]`` being the
+    edge set of the root -> x path.  A candidate path(v,x) + (x,y) +
+    path(y,v) is kept only when the two paths are edge-disjoint and the
+    joining edge lies on neither; each such edge set is a simple cycle,
+    because paths that met at a vertex other than the root would share
+    the path up to it.  No tie list is kept after it is counted, so a
+    generator holds memory to about one tree at a time.
     """
-    emask = [0] * g.n
-    vmask = [0] * g.n
-    for v in tree.order:
-        p = tree.parent_vertex[v]
-        if p is None:
-            vmask[v] = 1 << v
-        else:
-            emask[v] = emask[p] | (1 << tree.parent_edge[v])
-            vmask[v] = vmask[p] | (1 << v)
-    return emask, vmask
-
-
-def _count_candidates(g: Graph, trees: Iterable[SpTree]) -> dict[int, list[int]]:
-    """Horton candidate masks mapped to [times generated, weight base].
-
-    A candidate path(v,x) + (x,y) + path(y,v) is kept only when the two
-    paths share no vertex besides v and the joining edge lies on neither
-    path; each such edge set is a simple cycle.  No tree is kept after
-    its candidates are counted, so a generator of trees holds memory to
-    about one tree at a time.
-    """
-    counts: dict[int, list[int]] = {}
-    for tree in trees:
-        emask, vmask = _path_masks(g, tree)
-        root_bit = 1 << tree.root
-        dist = tree.dist
-        for e_idx, e in enumerate(g.edges):
-            dx, dy = dist[e.u], dist[e.v]
-            if dx is None or dy is None:
+    edges = [(x, y, 1 << i) for i, (x, y, _) in enumerate(edges)]
+    counts: dict[int, int] = {}
+    get = counts.get
+    for tie in ties:
+        for x, y, bit in edges:
+            tx, ty = tie[x], tie[y]
+            if tx & ty:
                 continue
-            if vmask[e.u] & vmask[e.v] != root_bit:
+            path = tx | ty
+            if path & bit:
                 continue
-            path_edges = emask[e.u] | emask[e.v]
-            e_bit = 1 << e_idx
-            if path_edges & e_bit:
-                continue
-            mask = path_edges | e_bit
-            entry = counts.get(mask)
-            if entry is None:
-                counts[mask] = [1, dx.base + dy.base + e.w]
-            else:
-                entry[0] += 1
+            mask = path | bit
+            counts[mask] = get(mask, 0) + 1
     return counts
 
 
-def _sorted_cycles(g: Graph, bases_and_masks: Iterable[tuple[int, int]]) -> list[Cycle]:
+def _sorted_cycles(g: Graph, masks: Iterable[int]) -> list[Cycle]:
     """Cycles of simple edge sets, sorted by tie-broken weight (base, mask)."""
     return [
         Cycle(Gf2Vector(g.m, mask), PerturbedWeight(base, mask), mask.bit_count())
-        for base, mask in sorted(bases_and_masks)
+        for base, mask in sorted((g.mask_weight(mask), mask) for mask in masks)
     ]
 
 
 def horton_candidates(g: Graph, trees: Iterable[SpTree]) -> list[Cycle]:
-    """Every distinct candidate path(v,x) + (x,y) + path(y,v), sorted by weight."""
-    counts = _count_candidates(g, trees)
-    return _sorted_cycles(g, ((base, mask) for mask, (_, base) in counts.items()))
+    """Every distinct candidate path(v,x) + (x,y) + path(y,v), sorted by weight.
+
+    Unreachable vertices get tie -1, which meets every mask, so the
+    simple-path test rejects the edges among them.
+    """
+    ties = ([d.tie if d else -1 for d in t.dist] for t in trees)
+    return _sorted_cycles(g, _count_candidates(g.edges, ties))
 
 
 def _cycle_walk(g: Graph, cycle: Cycle) -> tuple[list[int], list[int]]:
@@ -246,14 +232,6 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
     return blocks
 
 
-def _block_graph(g: Graph, block: list[int]) -> Graph:
-    """The block as a graph, vertices and edges relabeled in increasing order."""
-    verts = sorted({x for e_idx in block for x in g.edges[e_idx][:2]})
-    local = {v: i for i, v in enumerate(verts)}
-    edges = (g.edges[e_idx] for e_idx in block)
-    return Graph(len(verts), ((local[e.u], local[e.v], e.w) for e in edges))
-
-
 def _lift(mask: int, block: list[int]) -> int:
     """Map a block-local edge mask back to original edge indices."""
     out = 0
@@ -268,22 +246,22 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     """All tight cycles of the graph, sorted by tie-broken weight.
 
     Works one biconnected block at a time: for each block with at least
-    two edges it builds the block as a monotonically relabeled graph, runs
-    one Dijkstra per block vertex (each tree dropped once its candidates
-    are counted), keeps the candidates generated by all their vertices,
-    and maps them back to the original edge indices.  The merged list is
-    sorted by (weight, edge bit set).  ``pairs`` is accepted for existing
-    callers and ignored; the result does not depend on it.
+    two edges it builds the block's adjacency with vertices and edges
+    relabeled in increasing order, runs the shortest-path kernel from
+    each block vertex (each tie list dropped once counted), keeps the
+    candidates generated by all their vertices, and maps them back to
+    the original edge indices.  The tie mask of x is the edge set of the
+    root -> x path, so path disjointness is tested on edge masks.  The
+    merged list is sorted by (weight, edge bit set).  ``pairs`` is
+    accepted for existing callers and ignored.
     """
-    kept: list[tuple[int, int]] = []
+    masks: list[int] = []
     for block in _cyclic_blocks(g):
-        sub = _block_graph(g, block)
-        counts = _count_candidates(sub, (dijkstra(sub, r) for r in range(sub.n)))
-        kept.extend(
-            (base, _lift(mask, block))
-            for mask, (times, base) in counts.items()
-            if times == mask.bit_count()
-        )
-    cycles = _sorted_cycles(g, kept)
-    total_length = sum(c.edge_count() for c in cycles)
-    return TightCycleSet(cycles, total_length)
+        verts = sorted({x for e_idx in block for x in g.edges[e_idx][:2]})
+        local = {v: i for i, v in enumerate(verts)}
+        edges = [(local[e.u], local[e.v], e.w) for e in (g.edges[i] for i in block)]
+        adj = weighted_adjacency(len(verts), edges)
+        ties = (shortest_path_keys(adj, r)[1] for r in range(len(verts)))
+        counts = _count_candidates(edges, ties)
+        masks += [_lift(mask, block) for mask, times in counts.items() if times == mask.bit_count()]
+    return TightCycleSet(_sorted_cycles(g, masks), sum(mask.bit_count() for mask in masks))

@@ -113,19 +113,26 @@ def lex_min_profile_dfs(col_bits, nrows):
 
 # -- graph oracles ------------------------------------------------------------
 
-def bellman_ford(n, edges, source):
-    """Base-weight distances; None for unreachable vertices."""
+def keyed_bellman_ford(n, edges, source):
+    """Tie-broken (base weight, edge bit set) distances; None when unreachable.
+
+    Relaxes only along edges not yet on the path, so every value is the
+    key of a trail, and a trail never beats the simple path inside it.
+    """
     dist = [None] * n
-    dist[source] = 0
-    for _ in range(max(0, n - 1)):
+    dist[source] = (0, 0)
+    changed = True
+    while changed:
         changed = False
-        for u, v, w in edges:
+        for idx, (u, v, w) in enumerate(edges):
+            bit = 1 << idx
             for a, b in ((u, v), (v, u)):
-                if dist[a] is not None and (dist[b] is None or dist[a] + w < dist[b]):
-                    dist[b] = dist[a] + w
+                if dist[a] is None or dist[a][1] & bit:
+                    continue
+                cand = (dist[a][0] + w, dist[a][1] | bit)
+                if dist[b] is None or cand < dist[b]:
+                    dist[b] = cand
                     changed = True
-        if not changed:
-            break
     return dist
 
 

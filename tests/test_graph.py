@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 import helpers
 from minbasis.errors import ParseError
 from minbasis.graph import (
+    MAX_WEIGHT,
     Graph,
     PerturbedWeight,
     apsp,
@@ -34,6 +37,27 @@ def small_graphs(draw, max_n=7, max_extra=5, max_w=5):
         if u != v:
             edges.append((min(u, v), max(u, v), draw(st.integers(0, max_w))))
     return Graph(n, edges)
+
+
+def seeded_multigraphs(seed, count):
+    """Multigraphs on 2..24 vertices split into up to four components, with
+    parallel edges and weights drawn from palettes holding 0 and MAX_WEIGHT."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 24)
+        palette = rng.choice([(0, 1, 2), (0, 1, MAX_WEIGHT - 1, MAX_WEIGHT), (0, MAX_WEIGHT), (0,)])
+        label = list(range(n))
+        rng.shuffle(label)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(3, n - 1))))
+        edges = []
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            comp = label[lo:hi]
+            edges += [(comp[rng.randrange(i)], comp[i]) for i in range(1, len(comp))]
+            if len(comp) > 1:
+                edges += [tuple(rng.sample(comp, 2)) for _ in range(rng.randint(0, len(comp)))]
+        edges += rng.sample(edges, rng.randint(0, min(4, len(edges))))  # parallel copies
+        rng.shuffle(edges)
+        yield Graph(n, [(u, v, rng.choice(palette)) for u, v in edges])
 
 
 def test_graph_validation():
@@ -91,12 +115,31 @@ def test_dijkstra_base_matches_bellman_ford(g):
     raw = [(e.u, e.v, e.w) for e in g.edges]
     for root in range(g.n):
         tree = dijkstra(g, root)
-        expect = helpers.bellman_ford(g.n, raw, root)
-        for v in range(g.n):
-            if expect[v] is None:
-                assert tree.dist[v] is None
-            else:
-                assert tree.dist[v].base == expect[v]
+        expect = helpers.keyed_bellman_ford(g.n, raw, root)
+        assert [None if d is None else (d.base, d.tie) for d in tree.dist] == expect
+
+
+def test_dijkstra_trees_exact_on_multigraphs():
+    for g in seeded_multigraphs(1987, 60):
+        raw = [tuple(e) for e in g.edges]
+        trees = apsp(g).trees
+        for root in range(g.n):
+            tree = dijkstra(g, root)
+            assert trees[root] == tree
+            want = helpers.keyed_bellman_ford(g.n, raw, root)
+            assert [None if d is None else (d.base, d.tie) for d in tree.dist] == want
+            assert tree.order[0] == root
+            assert sorted(tree.order) == [v for v in range(g.n) if want[v] is not None]
+            keys = [tree.dist[v] for v in tree.order]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            for v in tree.order:
+                path = tree.path_edges(v)
+                assert len(set(path)) == len(path)
+                assert sum(1 << e for e in path) == tree.dist[v].tie
+                if v == root:
+                    assert tree.parent_edge[v] is None and tree.parent_vertex[v] is None
+                else:
+                    assert tree.parent_vertex[v] == g.other_end(tree.parent_edge[v], v)
 
 
 def test_apsp_triangle_and_star():

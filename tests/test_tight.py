@@ -13,11 +13,20 @@ from minbasis.fixtures import (
     random_connected_graph,
 )
 from minbasis.gf2 import Gf2Matrix, rank
-from minbasis.graph import MAX_WEIGHT, Graph, apsp, cycle_from_edges, cyclomatic_number, dijkstra
+from minbasis.graph import (
+    MAX_WEIGHT,
+    Graph,
+    apsp,
+    cycle_from_edges,
+    cyclomatic_number,
+    dijkstra,
+    shortest_path_keys,
+    weighted_adjacency,
+)
 from minbasis.oracle import brute_tight_cycles
 from minbasis.tight import enumerate_tight_cycles, horton_candidates, is_tight
 
-from test_graph import small_graphs
+from test_graph import seeded_multigraphs, small_graphs
 
 
 def canonical(tcs):
@@ -107,6 +116,27 @@ def test_is_tight_requires_elementary_cycle():
         is_tight(both, apsp(g))
 
 
+def _path_vertices(tree, v):
+    out = {v}
+    while tree.parent_vertex[v] is not None:
+        v = tree.parent_vertex[v]
+        out.add(v)
+    return out
+
+
+def test_disjoint_tie_masks_iff_root_paths_meet_only_at_root():
+    for g in seeded_multigraphs(2010, 60):
+        adj = weighted_adjacency(g.n, g.edges)
+        for root in range(g.n):
+            _, tie = shortest_path_keys(adj, root)
+            tree = dijkstra(g, root)
+            for e in g.edges:
+                if tree.dist[e.u] is None:
+                    continue
+                shared = _path_vertices(tree, e.u) & _path_vertices(tree, e.v)
+                assert (tie[e.u] & tie[e.v] == 0) == (shared == {root})
+
+
 def test_enumerate_c5():
     tcs = enumerate_tight_cycles(c5())
     assert len(tcs.cycles) == 1
@@ -127,10 +157,10 @@ def test_enumerate_tree_empty():
 
 @pytest.mark.parametrize("g", [path_graph(50), Graph(3000)], ids=["path50", "edgeless3000"])
 def test_enumerate_forest_runs_no_dijkstra(monkeypatch, g):
-    def no_dijkstra(graph, root):
+    def no_kernel(adj, root):
         raise AssertionError("shortest-path tree built for a forest")
 
-    monkeypatch.setattr("minbasis.tight.dijkstra", no_dijkstra)
+    monkeypatch.setattr("minbasis.tight.shortest_path_keys", no_kernel)
     tcs = enumerate_tight_cycles(g)
     assert tcs.cycles == [] and tcs.total_length == 0
 
@@ -253,11 +283,11 @@ def test_multiplicity_matches_pairwise_filter_past_oracle_budget():
 def test_enumerate_runs_dijkstra_only_inside_cyclic_blocks(monkeypatch):
     calls = []
 
-    def counting_dijkstra(graph, root):
-        calls.append(graph.n)
-        return dijkstra(graph, root)
+    def counting_kernel(adj, root):
+        calls.append(len(adj))
+        return shortest_path_keys(adj, root)
 
-    monkeypatch.setattr("minbasis.tight.dijkstra", counting_dijkstra)
+    monkeypatch.setattr("minbasis.tight.shortest_path_keys", counting_kernel)
     path = path_graph(50)
     g = Graph(51, [*path.edges, (48, 50, 1), (49, 50, 1)])  # triangle at the end
     tcs = enumerate_tight_cycles(g)
