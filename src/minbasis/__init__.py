@@ -15,15 +15,10 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Vector,
     RankProfile,
-    SingularMatrixError,
     column_rank_profile,
-    earliest_basis,
     in_span,
     inner_product,
-    invert,
-    mat_mul,
     rank,
-    transpose,
 )
 from .graph import (
     AllPairs,
@@ -80,7 +75,6 @@ __all__ = [
     "PerturbedWeight",
     "RankProfile",
     "SimplicialComplex",
-    "SingularMatrixError",
     "SpTree",
     "TightCycleSet",
     "all_cycle_vectors",
@@ -94,7 +88,6 @@ __all__ = [
     "cycle_from_mask",
     "cyclomatic_number",
     "dijkstra",
-    "earliest_basis",
     "enumerate_tight_cycles",
     "fundamental_cycles",
     "homologous",
@@ -102,11 +95,9 @@ __all__ = [
     "horton_candidates",
     "in_span",
     "inner_product",
-    "invert",
     "is_tight",
     "load_complex",
     "load_graph",
-    "mat_mul",
     "mcb_depina",
     "mcb_earliest",
     "mcb_kavitha",
@@ -118,5 +109,4 @@ __all__ = [
     "rank",
     "skeleton",
     "spanning_forest",
-    "transpose",
 ]

@@ -18,7 +18,6 @@ from typing import Optional, TextIO
 
 from . import fixtures, oracle
 from .errors import InternalInvariantError, ParseError
-from .gf2 import SingularMatrixError
 from .graph import cyclomatic_number, load_graph
 from .mcb import ENGINES, BasisReport
 from .mhb import HomologyBasisReport, mhb_tight, mhb_via_mcb
@@ -116,7 +115,7 @@ def parse_args(argv: Optional[list[str]] = None) -> RunConfig:
 
 def _cycles_payload(cycles) -> list[dict]:
     return [
-        {"edges": list(c.edge_indices()), "weight": c.weight.base} for c in cycles
+        {"edges": list(c.edge_indices()), "weight": c.base} for c in cycles
     ]
 
 
@@ -127,7 +126,7 @@ def _dump(payload: dict, out: TextIO) -> None:
 def _print_cycles_text(cycles, out: TextIO) -> None:
     shown = cycles[:TEXT_CYCLE_CAP]
     for i, c in enumerate(shown):
-        out.write(f"cycle {i}: weight={c.weight.base} edges={list(c.edge_indices())}\n")
+        out.write(f"cycle {i}: weight={c.base} edges={list(c.edge_indices())}\n")
     hidden = len(cycles) - len(shown)
     if hidden > 0:
         out.write(f"... {hidden} more cycles not shown (JSON output is never truncated)\n")
@@ -137,6 +136,15 @@ def _basis_payload(report: BasisReport, nu: int) -> dict:
     return {
         "engine": report.engine,
         "nu": nu,
+        "total_weight": report.total_weight,
+        "cycles": _cycles_payload(report.cycles),
+    }
+
+
+def _homology_payload(report: HomologyBasisReport) -> dict:
+    return {
+        "engine": report.engine,
+        "beta1": len(report.cycles),
         "total_weight": report.total_weight,
         "cycles": _cycles_payload(report.cycles),
     }
@@ -162,14 +170,8 @@ def _run_mhb(cfg: RunConfig, out: TextIO) -> int:
         report: HomologyBasisReport = mhb_via_mcb(k, mcb_engine=cfg.mcb_engine)
     else:
         report = mhb_tight(k)
-    payload = {
-        "engine": report.engine,
-        "beta1": len(report.cycles),
-        "total_weight": report.total_weight,
-        "cycles": _cycles_payload(report.cycles),
-    }
     if cfg.format == "json":
-        _dump(payload, out)
+        _dump(_homology_payload(report), out)
     else:
         out.write(f"engine: {report.engine}\n")
         out.write(f"beta1: {len(report.cycles)}\n")
@@ -271,20 +273,7 @@ def _run_bench(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
             }
         )
         if not agree:
-            disagreements.append(
-                (
-                    name,
-                    {
-                        e: {
-                            "engine": r.engine,
-                            "beta1": len(r.cycles),
-                            "total_weight": r.total_weight,
-                            "cycles": _cycles_payload(r.cycles),
-                        }
-                        for e, r in reports2.items()
-                    },
-                )
-            )
+            disagreements.append((name, {e: _homology_payload(r) for e, r in reports2.items()}))
 
     all_agree = not disagreements
     if cfg.format == "json":
@@ -340,16 +329,7 @@ def _run_oracle(cfg: RunConfig, out: TextIO) -> int:
         return 0
     k = load_complex(cfg.input, auto_close=cfg.auto_close)
     report = oracle.brute_mhb(k)
-    _dump(
-        {
-            "oracle_version": oracle.ORACLE_VERSION,
-            "engine": report.engine,
-            "beta1": len(report.cycles),
-            "total_weight": report.total_weight,
-            "cycles": _cycles_payload(report.cycles),
-        },
-        out,
-    )
+    _dump({"oracle_version": oracle.ORACLE_VERSION, **_homology_payload(report)}, out)
     return 0
 
 
@@ -377,7 +357,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, CliUsageError) as exc:
         err.write(f"error: {exc}\n")
         return 1
-    except (InternalInvariantError, SingularMatrixError) as exc:
+    except InternalInvariantError as exc:
         err.write(f"internal error: {exc}\n")
         return 2
     except (MemoryError, RecursionError) as exc:

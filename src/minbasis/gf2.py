@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
-class SingularMatrixError(RuntimeError):
-    """Raised by :func:`invert` when the matrix has no inverse."""
-
-
 @dataclass
 class Gf2Vector:
     """Bit-packed GF(2) vector; bit ``i`` of ``bits`` is coordinate ``i``.
@@ -63,22 +59,12 @@ class Gf2Vector:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def copy(self) -> "Gf2Vector":
-        return Gf2Vector(self.length, self.bits)
-
 
 def inner_product(u: Gf2Vector, v: Gf2Vector) -> int:
     """Parity of the overlap of two vectors (0 or 1)."""
     if u.length != v.length:
         raise ValueError(f"dimension mismatch: {u.length} != {v.length}")
     return (u.bits & v.bits).bit_count() & 1
-
-
-def add_assign(u: Gf2Vector, v: Gf2Vector) -> None:
-    """In-place ``u += v`` (XOR)."""
-    if u.length != v.length:
-        raise ValueError(f"dimension mismatch: {u.length} != {v.length}")
-    u.bits ^= v.bits
 
 
 @dataclass
@@ -104,30 +90,11 @@ class Gf2Matrix:
         return cls(nrows, [Gf2Vector(nrows, b) for b in bit_columns])
 
     @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> "Gf2Matrix":
-        """Build from a dense 0/1 row-major listing (test convenience)."""
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        cols = []
-        for j in range(ncols):
-            bits = 0
-            for i, row in enumerate(rows):
-                if len(row) != ncols:
-                    raise ValueError("ragged rows")
-                if row[j] & 1:
-                    bits |= 1 << i
-            cols.append(Gf2Vector(nrows, bits))
-        return cls(nrows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls(n, [Gf2Vector(n, 1 << i) for i in range(n)])
 
     def to_rows(self) -> list[list[int]]:
         return [[c.get(i) for c in self.columns] for i in range(self.nrows)]
-
-    def column_bits(self) -> list[int]:
-        return [c.bits for c in self.columns]
 
 
 @dataclass(frozen=True)
@@ -212,11 +179,6 @@ def rank(m: Gf2Matrix) -> int:
     return len(column_rank_profile(m))
 
 
-def earliest_basis(m: Gf2Matrix) -> list[Gf2Vector]:
-    """The columns at the rank-profile indices, in index order."""
-    return [m.columns[j].copy() for j in column_rank_profile(m).indices]
-
-
 def in_span(basis: Gf2Matrix, v: Gf2Vector) -> Optional[Gf2Vector]:
     """Coefficients c with basis @ c == v, or None when v is outside the span.
 
@@ -232,59 +194,3 @@ def in_span(basis: Gf2Matrix, v: Gf2Vector) -> Optional[Gf2Vector]:
     if combo is None:
         return None
     return Gf2Vector(basis.ncols, combo)
-
-
-def invert(m: Gf2Matrix) -> Gf2Matrix:
-    """Inverse of a square matrix; raises SingularMatrixError if none exists."""
-    if m.nrows != m.ncols:
-        raise ValueError(f"matrix is {m.nrows}x{m.ncols}, not square")
-    tracker = SpanTracker(track_coefficients=True)
-    for col in m.columns:
-        tracker.add(col.bits)
-    cols = []
-    for i in range(m.nrows):
-        combo = tracker.solve(1 << i)
-        if combo is None:
-            raise SingularMatrixError(f"{m.nrows}x{m.ncols} matrix is singular")
-        cols.append(Gf2Vector(m.nrows, combo))
-    return Gf2Matrix(m.nrows, cols)
-
-
-def mat_mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
-    """Matrix product over GF(2)."""
-    if a.ncols != b.nrows:
-        raise ValueError(f"dimension mismatch: {a.ncols} != {b.nrows}")
-    cols = []
-    for bc in b.columns:
-        acc = 0
-        rest = bc.bits
-        while rest:
-            low = rest & -rest
-            acc ^= a.columns[low.bit_length() - 1].bits
-            rest ^= low
-        cols.append(Gf2Vector(a.nrows, acc))
-    return Gf2Matrix(a.nrows, cols)
-
-
-def mat_vec(a: Gf2Matrix, v: Gf2Vector) -> Gf2Vector:
-    """Matrix-vector product over GF(2)."""
-    if a.ncols != v.length:
-        raise ValueError(f"dimension mismatch: {a.ncols} != {v.length}")
-    acc = 0
-    rest = v.bits
-    while rest:
-        low = rest & -rest
-        acc ^= a.columns[low.bit_length() - 1].bits
-        rest ^= low
-    return Gf2Vector(a.nrows, acc)
-
-
-def transpose(m: Gf2Matrix) -> Gf2Matrix:
-    rows = [0] * m.nrows
-    for j, col in enumerate(m.columns):
-        rest = col.bits
-        while rest:
-            low = rest & -rest
-            rows[low.bit_length() - 1] |= 1 << j
-            rest ^= low
-    return Gf2Matrix(m.ncols, [Gf2Vector(m.ncols, r) for r in rows])

@@ -102,28 +102,35 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
-    """An even-degree edge set with its weight.
+    """An even-degree edge set with its weight, held as one edge bit mask.
 
     Members of the cycle space in general; elementary exactly when every
-    touched vertex has degree 2 and the edges are connected.  The weight
-    tie key equals the edge-set bits.
+    touched vertex has degree 2 and the edges are connected.  ``mask``
+    has bit i set for edge i of a graph with ``length`` edges and
+    ``base`` is the weight sum of those edges; the tie-broken weight is
+    ``(base, mask)``.
     """
 
-    edge_set: Gf2Vector
-    weight: PerturbedWeight
+    mask: int
+    base: int
+    length: int
     vertex_count: int
 
     @property
-    def mask(self) -> int:
-        return self.edge_set.bits
+    def edge_set(self) -> Gf2Vector:
+        return Gf2Vector(self.length, self.mask)
+
+    @property
+    def weight(self) -> PerturbedWeight:
+        return PerturbedWeight(self.base, self.mask)
 
     def edge_indices(self) -> tuple[int, ...]:
         return self.edge_set.indices()
 
     def edge_count(self) -> int:
-        return self.edge_set.popcount()
+        return self.mask.bit_count()
 
 
 def cycle_from_mask(g: Graph, mask: int) -> Cycle:
@@ -143,7 +150,7 @@ def cycle_from_mask(g: Graph, mask: int) -> Cycle:
     for v, d in degree.items():
         if d & 1:
             raise ValueError(f"vertex {v} has odd degree; not a cycle-space member")
-    return Cycle(Gf2Vector(g.m, mask), PerturbedWeight(base, mask), len(degree))
+    return Cycle(mask, base, g.m, len(degree))
 
 
 def cycle_from_edges(g: Graph, indices: Iterable[int]) -> Cycle:

@@ -10,11 +10,14 @@ Three interchangeable engines, all exact and deterministic:
 * ``kavitha``   - same invariants as ``depina`` but the support vectors
   are re-orthogonalized in bulk by a divide-and-conquer block update.
 
-Support vectors live on the non-tree-edge coordinates of a fixed
-spanning forest: the unit vector on a non-tree edge is never orthogonal
-to that edge's fundamental cycle, so a qualifying cycle always exists.
-For reporting they are embedded back into full edge space (zero on tree
-edges), which leaves all inner products unchanged.
+``depina`` and ``kavitha`` share one core: the setup, the lightest-odd
+pick and the report with its certificate; each supplies only its update.
+Support vectors are edge-space bit masks.  The i-th starts as the unit
+vector on the i-th non-tree edge of a fixed spanning forest and is only
+ever combined with earlier ones, so every support vector is zero on tree
+edges.  That unit vector is never orthogonal to its edge's fundamental
+cycle, so a qualifying cycle always exists, and the final vectors are
+the certificate as they stand.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InfeasibleSupportError, InternalInvariantError
-from .gf2 import Gf2Matrix, Gf2Vector, SpanTracker, invert, mat_mul
+from .gf2 import Gf2Vector, SpanTracker
 from .graph import Cycle, Graph, cyclomatic_number, spanning_forest
 from .tight import TightCycleSet, enumerate_tight_cycles
 
@@ -42,7 +45,16 @@ class BasisReport:
     certificate: Optional[list[Gf2Vector]] = None
 
     def weight_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(c.weight.base for c in self.cycles))
+        return tuple(sorted(c.base for c in self.cycles))
+
+
+def _lightest_odd(cycles: list[Cycle], s: int) -> Cycle:
+    for c in cycles:
+        if (c.mask & s).bit_count() & 1:
+            return c
+    raise InfeasibleSupportError(
+        "no tight cycle has odd inner product with the support vector"
+    )
 
 
 def min_weight_odd_cycle(tcs: TightCycleSet, s: Gf2Vector) -> Cycle:
@@ -55,15 +67,21 @@ def min_weight_odd_cycle(tcs: TightCycleSet, s: Gf2Vector) -> Cycle:
     """
     if s.is_zero():
         raise ValueError("support vector must be nonzero")
-    s_bits = s.bits
+    _check_lengths(tcs, s.length)
+    return _lightest_odd(tcs.cycles, s.bits)
+
+
+def _check_lengths(tcs: TightCycleSet, m: int) -> None:
     for c in tcs.cycles:
-        if c.edge_set.length != s.length:
-            raise ValueError(f"dimension mismatch: {c.edge_set.length} != {s.length}")
-        if (c.mask & s_bits).bit_count() & 1:
-            return c
-    raise InfeasibleSupportError(
-        "no tight cycle has odd inner product with the support vector"
-    )
+        if c.length != m:
+            raise ValueError(f"dimension mismatch: {c.length} != {m}")
+
+
+def _tight_set(g: Graph, tight: TightCycleSet | None) -> TightCycleSet:
+    if tight is None:
+        return enumerate_tight_cycles(g)
+    _check_lengths(tight, g.m)
+    return tight
 
 
 def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
@@ -72,7 +90,7 @@ def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     Because the columns are sorted by weight and independence is matroid
     independence, the first spanning independent set is a minimum basis.
     """
-    tcs = tight if tight is not None else enumerate_tight_cycles(g)
+    tcs = _tight_set(g, tight)
     nu = cyclomatic_number(g)
     tracker = SpanTracker()
     chosen: list[Cycle] = []
@@ -85,33 +103,46 @@ def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
         raise InternalInvariantError(
             f"tight cycles span rank {len(chosen)} < cyclomatic number {nu}"
         )
-    return BasisReport("earliest", chosen, sum(c.weight.base for c in chosen))
+    return BasisReport("earliest", chosen, sum(c.base for c in chosen))
 
 
-def _support_setup(g: Graph, tight: TightCycleSet | None):
-    tcs = tight if tight is not None else enumerate_tight_cycles(g)
-    _, nontree = spanning_forest(g)
-    return tcs, nontree
+Update = Callable[[list[int], Callable[[int], int]], None]
 
 
-def _embed_support(m: int, nontree: list[int], s_bits: int) -> Gf2Vector:
-    """Lift a non-tree-coordinate vector back to full edge coordinates."""
-    bits = 0
-    rest = s_bits
-    while rest:
-        low = rest & -rest
-        bits |= 1 << nontree[low.bit_length() - 1]
-        rest ^= low
-    return Gf2Vector(m, bits)
+def _support_basis(
+    engine: str, g: Graph, tight: TightCycleSet | None, update: Update
+) -> BasisReport:
+    """The support-vector core shared by ``depina`` and ``kavitha``.
+
+    ``update(support, pick)`` must call ``pick(i)`` for i = 0, 1, ... in
+    order, each time with ``support[i]`` orthogonal to the cycles picked
+    before; ``pick`` returns the chosen cycle's mask.
+    """
+    tcs = _tight_set(g, tight)
+    support = [1 << e for e in spanning_forest(g)[1]]
+    cycles: list[Cycle] = []
+
+    def pick(i: int) -> int:
+        c = _lightest_odd(tcs.cycles, support[i])
+        cycles.append(c)
+        return c.mask
+
+    update(support, pick)
+    if len(cycles) != len(support):
+        raise InternalInvariantError(
+            f"picked {len(cycles)} cycles for {len(support)} support vectors"
+        )
+    certificate = [Gf2Vector(g.m, s) for s in support]
+    return BasisReport(engine, cycles, sum(c.base for c in cycles), certificate)
 
 
-def _project(mask: int, nontree: list[int]) -> int:
-    """Restrict an edge mask to the non-tree coordinates."""
-    bits = 0
-    for k, e_idx in enumerate(nontree):
-        if (mask >> e_idx) & 1:
-            bits |= 1 << k
-    return bits
+def _depina_update(support: list[int], pick: Callable[[int], int]) -> None:
+    # enumerate reads support[i] on reaching it, after the earlier steps' updates
+    for i, s in enumerate(support):
+        mask = pick(i)
+        for j in range(i + 1, len(support)):
+            if (mask & support[j]).bit_count() & 1:
+                support[j] ^= s
 
 
 def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
@@ -121,22 +152,42 @@ def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     orthogonal to the cycles chosen so far, and the cycle chosen at step
     i has odd inner product with its own support vector.
     """
-    tcs, nontree = _support_setup(g, tight)
-    nu = len(nontree)
-    m = g.m
-    support = [1 << i for i in range(nu)]
-    cycles: list[Cycle] = []
-    proj: list[int] = []
-    for i in range(nu):
-        c = min_weight_odd_cycle(tcs, _embed_support(m, nontree, support[i]))
-        cycles.append(c)
-        p = _project(c.mask, nontree)
-        proj.append(p)
-        for j in range(i + 1, nu):
-            if (p & support[j]).bit_count() & 1:
-                support[j] ^= support[i]
-    certificate = [_embed_support(m, nontree, s) for s in support]
-    return BasisReport("depina", cycles, sum(c.weight.base for c in cycles), certificate)
+    return _support_basis("depina", g, tight, _depina_update)
+
+
+def _kavitha_update(support: list[int], pick: Callable[[int], int]) -> None:
+    chosen = [0] * len(support)
+
+    def inner(rows: list[int], s: int) -> int:
+        """Bit r is the inner product of cycle mask ``rows[r]`` with ``s``."""
+        bits = 0
+        for r, mask in enumerate(rows):
+            if (mask & s).bit_count() & 1:
+                bits |= 1 << r
+        return bits
+
+    def solve(lo: int, u: int) -> None:
+        if lo == u:
+            chosen[lo] = pick(lo)
+            return
+        q = (lo + u) // 2
+        solve(lo, q)
+        rows = chosen[lo : q + 1]
+        a = SpanTracker(track_coefficients=True)
+        for j in range(lo, q + 1):
+            a.add(inner(rows, support[j]))
+        for j in range(q + 1, u + 1):
+            w = a.solve(inner(rows, support[j]))
+            if w is None:
+                raise InternalInvariantError("block inner-product matrix is singular")
+            while w:
+                low = w & -w
+                support[j] ^= support[lo + low.bit_length() - 1]
+                w ^= low
+        solve(q + 1, u)
+
+    if support:
+        solve(0, len(support) - 1)
 
 
 def mcb_kavitha(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
@@ -146,55 +197,12 @@ def mcb_kavitha(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     are made orthogonal to the chosen cycles in one block step: with
     A = C^T [S_lo..S_q] and B = C^T [S_{q+1}..S_u], adding the left
     vectors combined by W = A^-1 B zeroes all the inner products at
-    once.  A is unitriangular by the invariants, so it is invertible; a
-    singular A means a broken invariant and surfaces as an error.
+    once.  A is unitriangular by the invariants, so it is invertible;
+    W comes column by column from one elimination of A's columns, and a
+    column it cannot solve means a broken invariant and surfaces as an
+    error.
     """
-    tcs, nontree = _support_setup(g, tight)
-    nu = len(nontree)
-    m = g.m
-    support = [1 << i for i in range(nu)]
-    cycles: list[Optional[Cycle]] = [None] * nu
-    proj: list[int] = [0] * nu
-
-    def block_inner(lo: int, q: int, col_range: range) -> Gf2Matrix:
-        k = q - lo + 1
-        cols = []
-        for j in col_range:
-            bits = 0
-            for r in range(k):
-                if (proj[lo + r] & support[j]).bit_count() & 1:
-                    bits |= 1 << r
-            cols.append(Gf2Vector(k, bits))
-        return Gf2Matrix(k, cols)
-
-    def solve(lo: int, u: int) -> None:
-        if lo == u:
-            c = min_weight_odd_cycle(tcs, _embed_support(m, nontree, support[lo]))
-            cycles[lo] = c
-            proj[lo] = _project(c.mask, nontree)
-            return
-        q = (lo + u) // 2
-        solve(lo, q)
-        a = block_inner(lo, q, range(lo, q + 1))
-        b = block_inner(lo, q, range(q + 1, u + 1))
-        w = mat_mul(invert(a), b)
-        for c_off, w_col in enumerate(w.columns):
-            acc = 0
-            rest = w_col.bits
-            while rest:
-                low = rest & -rest
-                acc ^= support[lo + low.bit_length() - 1]
-                rest ^= low
-            support[q + 1 + c_off] ^= acc
-        solve(q + 1, u)
-
-    if nu:
-        solve(0, nu - 1)
-    out = [c for c in cycles if c is not None]
-    if len(out) != nu:
-        raise InternalInvariantError("divide-and-conquer left cycles unassigned")
-    certificate = [_embed_support(m, nontree, s) for s in support]
-    return BasisReport("kavitha", out, sum(c.weight.base for c in out), certificate)
+    return _support_basis("kavitha", g, tight, _kavitha_update)
 
 
 ENGINES: dict[str, Callable[..., BasisReport]] = {

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError
 from .gf2 import Gf2Vector, SpanTracker, in_span
-from .graph import Cycle
+from .graph import Cycle, Graph, cyclomatic_number
 from .mcb import ENGINES
-from .simplicial import SimplicialComplex, boundary_matrix, homology_profile, skeleton
+from .simplicial import SimplicialComplex, boundary_matrix, skeleton
 from .tight import enumerate_tight_cycles
 
 
@@ -30,7 +30,7 @@ class HomologyBasisReport:
     boundary_profile: tuple[int, ...]  # triangle indices of the earliest boundary basis
 
     def weight_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(c.weight.base for c in self.cycles))
+        return tuple(sorted(c.base for c in self.cycles))
 
 
 def _require_valid(k: SimplicialComplex) -> None:
@@ -40,33 +40,40 @@ def _require_valid(k: SimplicialComplex) -> None:
 
 
 def _profile_basis(
-    k: SimplicialComplex, cycle_columns: list[Cycle], engine: str
+    k: SimplicialComplex, g: Graph, cycle_columns: list[Cycle], engine: str
 ) -> HomologyBasisReport:
-    profile = homology_profile(k)
-    d2 = boundary_matrix(k, 2)
+    """Rank profile of the boundary columns, then of ``cycle_columns``.
+
+    ``g`` is the 1-skeleton; the scan stops once the rank reaches its
+    cycle rank, and the kept cycles must number cycle rank minus boundary
+    rank, that is beta1.
+    """
+    cycle_rank = cyclomatic_number(g)
     tracker = SpanTracker()
-    boundary_sel = [t for t, col in enumerate(d2.columns) if tracker.add(col.bits)]
+    boundary_sel = [
+        t for t, col in enumerate(boundary_matrix(k, 2).columns) if tracker.add(col.bits)
+    ]
     chosen: list[Cycle] = []
     for c in cycle_columns:
-        if tracker.rank == profile.cycle_rank:
+        if tracker.rank == cycle_rank:
             break
         if tracker.add(c.mask):
             chosen.append(c)
-    if len(boundary_sel) != profile.boundary_rank or len(chosen) != profile.beta1:
+    beta1 = cycle_rank - len(boundary_sel)
+    if len(chosen) != beta1:
         raise InternalInvariantError(
-            f"rank profile split selected {len(boundary_sel)} boundary and "
-            f"{len(chosen)} cycle columns; expected {profile.boundary_rank} "
-            f"and {profile.beta1}"
+            f"rank profile split selected {len(chosen)} cycle columns; expected "
+            f"{beta1} (cycle rank {cycle_rank} - boundary rank {len(boundary_sel)})"
         )
-    total = sum(c.weight.base for c in chosen)
+    total = sum(c.base for c in chosen)
     return HomologyBasisReport(engine, chosen, total, tuple(boundary_sel))
 
 
 def mhb_tight(k: SimplicialComplex) -> HomologyBasisReport:
     """Rank profile of the boundary columns followed by all tight cycles."""
     _require_valid(k)
-    tcs = enumerate_tight_cycles(skeleton(k))
-    return _profile_basis(k, tcs.cycles, "tight")
+    g = skeleton(k)
+    return _profile_basis(k, g, enumerate_tight_cycles(g).cycles, "tight")
 
 
 def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> HomologyBasisReport:
@@ -76,14 +83,14 @@ def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> HomologyB
         engine = ENGINES[mcb_engine]
     except KeyError:
         raise ValueError(f"unknown mcb engine {mcb_engine!r}") from None
-    basis = engine(skeleton(k))
-    columns = sorted(basis.cycles, key=lambda c: c.weight)
-    return _profile_basis(k, columns, "via_mcb")
+    g = skeleton(k)
+    columns = sorted(engine(g).cycles, key=lambda c: (c.base, c.mask))
+    return _profile_basis(k, g, columns, "via_mcb")
 
 
 def _check_cycle(k: SimplicialComplex, z: Cycle, name: str) -> None:
-    if z.edge_set.length != k.m:
-        raise ValueError(f"{name}: edge-vector length {z.edge_set.length} != {k.m}")
+    if z.length != k.m:
+        raise ValueError(f"{name}: edge-vector length {z.length} != {k.m}")
     parity = 0  # per-vertex degree parity packed as bits
     rest = z.mask
     while rest:

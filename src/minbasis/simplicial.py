@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .errors import ParseError
 from .gf2 import Gf2Matrix, Gf2Vector, rank
-from .graph import MAX_WEIGHT, Edge, Graph
+from .graph import MAX_WEIGHT, Edge, Graph, component_count
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,7 @@ def boundary_matrix(k: SimplicialComplex, p: int) -> Gf2Matrix:
 
 def homology_profile(k: SimplicialComplex) -> HomologyProfile:
     """Betti numbers from the ranks of the boundary matrices."""
-    parent = list(range(k.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in k.edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    beta0 = len({find(v) for v in range(k.n)})
+    beta0 = component_count(skeleton(k))
     cycle_rank = k.m - k.n + beta0
     boundary_rank = rank(boundary_matrix(k, 2)) if k.n2 else 0
     return HomologyProfile(beta0, cycle_rank - boundary_rank, boundary_rank, cycle_rank)

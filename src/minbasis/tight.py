@@ -40,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gf2 import Gf2Vector
-from .graph import AllPairs, Cycle, Graph, PerturbedWeight, SpTree
+from .graph import AllPairs, Cycle, Graph, SpTree
 from .graph import shortest_path_keys, weighted_adjacency
 
 
@@ -85,7 +84,7 @@ def _count_candidates(
 def _sorted_cycles(g: Graph, masks: Iterable[int]) -> list[Cycle]:
     """Cycles of simple edge sets, sorted by tie-broken weight (base, mask)."""
     return [
-        Cycle(Gf2Vector(g.m, mask), PerturbedWeight(base, mask), mask.bit_count())
+        Cycle(mask, base, g.m, mask.bit_count())
         for base, mask in sorted((g.mask_weight(mask), mask) for mask in masks)
     ]
 

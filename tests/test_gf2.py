@@ -8,18 +8,11 @@ import helpers
 from minbasis.gf2 import (
     Gf2Matrix,
     Gf2Vector,
-    SingularMatrixError,
     SpanTracker,
-    add_assign,
     column_rank_profile,
-    earliest_basis,
     in_span,
     inner_product,
-    invert,
-    mat_mul,
-    mat_vec,
     rank,
-    transpose,
 )
 
 
@@ -92,22 +85,10 @@ def test_profile_is_exhaustive_lex_minimum(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_equals_transpose_rank(m):
-    assert rank(m) == rank(transpose(m)) == len(column_rank_profile(m))
-
-
-def test_earliest_basis_identity_and_duplicates():
-    ident = Gf2Matrix.identity(4)
-    assert [c.bits for c in earliest_basis(ident)] == [1, 2, 4, 8]
-    rep = Gf2Matrix.from_bit_columns(3, [0b101, 0b101, 0b101])
-    assert [c.bits for c in earliest_basis(rep)] == [0b101]
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices())
-def test_earliest_basis_is_profile_columns(m):
-    profile = column_rank_profile(m)
-    basis = earliest_basis(m)
-    assert [c.bits for c in basis] == [m.columns[j].bits for j in profile.indices]
+    # column i of the transpose is row i of m
+    rows = [sum(b << j for j, b in enumerate(row)) for row in m.to_rows()]
+    transpose = Gf2Matrix.from_bit_columns(m.ncols, rows)
+    assert rank(m) == rank(transpose) == len(column_rank_profile(m))
 
 
 def test_in_span_examples():
@@ -130,51 +111,33 @@ def test_in_span_dimension_error():
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_every_column_in_span_of_earliest_basis(m):
-    basis = Gf2Matrix(m.nrows, earliest_basis(m))
+    basis = Gf2Matrix(m.nrows, [m.columns[j] for j in column_rank_profile(m).indices])
     for col in m.columns:
         coeff = in_span(basis, col)
         assert coeff is not None
-        assert mat_vec(basis, coeff).bits == col.bits
-
-
-def test_invert_identity():
-    got = invert(Gf2Matrix.identity(3))
-    assert got.column_bits() == Gf2Matrix.identity(3).column_bits()
-
-
-def test_invert_upper_triangular_self_inverse():
-    m = Gf2Matrix.from_rows([[1, 1], [0, 1]])
-    assert invert(m).to_rows() == [[1, 1], [0, 1]]
-
-
-def test_invert_derived_example():
-    m = Gf2Matrix.from_rows([[1, 1], [1, 0]])
-    inv = invert(m)
-    assert inv.to_rows() == [[0, 1], [1, 1]]
-    assert mat_mul(m, inv).column_bits() == Gf2Matrix.identity(2).column_bits()
-
-
-def test_invert_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        invert(Gf2Matrix.from_bit_columns(2, [0b11, 0b11]))
-
-
-def test_invert_non_square_raises():
-    with pytest.raises(ValueError):
-        invert(Gf2Matrix.from_bit_columns(3, [0b1, 0b10]))
+        assert coeff.length == basis.ncols
+        acc = 0
+        for j in coeff.indices():
+            acc ^= basis.columns[j].bits
+        assert acc == col.bits
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(max_rows=7, max_cols=7))
-def test_invert_round_trip(m):
-    if m.nrows != m.ncols or rank(m) != m.nrows:
-        with pytest.raises((SingularMatrixError, ValueError)):
-            invert(m)
+def test_span_tracker_solve_gives_inverse(m):
+    """Solving each unit vector over the columns gives a right inverse."""
+    tracker = SpanTracker(track_coefficients=True)
+    for col in m.columns:
+        tracker.add(col.bits)
+    combos = [tracker.solve(1 << i) for i in range(m.nrows)]
+    if rank(m) < m.nrows:
+        assert None in combos  # some unit vector lies outside the column span
         return
-    inv = invert(m)
-    ident = Gf2Matrix.identity(m.nrows).column_bits()
-    assert mat_mul(m, inv).column_bits() == ident
-    assert mat_mul(inv, m).column_bits() == ident
+    right = Gf2Matrix.from_bit_columns(m.ncols, combos).to_rows()
+    ident = Gf2Matrix.identity(m.nrows).to_rows()
+    assert helpers.dense_product(m.to_rows(), right) == ident
+    if m.nrows == m.ncols:
+        assert helpers.dense_product(right, m.to_rows()) == ident
 
 
 def test_inner_product_examples():
@@ -182,40 +145,6 @@ def test_inner_product_examples():
     assert inner_product(Gf2Vector(3, 0b101), Gf2Vector(3, 0b100)) == 1
     with pytest.raises(ValueError):
         inner_product(Gf2Vector(3, 0b1), Gf2Vector(2, 0b1))
-
-
-def test_add_assign_xors_in_place():
-    u = Gf2Vector(4, 0b1010)
-    add_assign(u, Gf2Vector(4, 0b0110))
-    assert u.bits == 0b1100
-    with pytest.raises(ValueError):
-        add_assign(u, Gf2Vector(3, 0b1))
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices(max_rows=6, max_cols=6))
-def test_mat_mul_identity(m):
-    assert mat_mul(m, Gf2Matrix.identity(m.ncols)).column_bits() == m.column_bits()
-    assert mat_mul(Gf2Matrix.identity(m.nrows), m).column_bits() == m.column_bits()
-
-
-def test_mat_mul_dimension_error():
-    with pytest.raises(ValueError):
-        mat_mul(Gf2Matrix.identity(2), Gf2Matrix.identity(3))
-
-
-def test_mat_mul_matches_dense_reference():
-    rng = random.Random(5)
-    for _ in range(20):
-        a = Gf2Matrix.from_bit_columns(4, [rng.randrange(16) for _ in range(3)])
-        b = Gf2Matrix.from_bit_columns(3, [rng.randrange(8) for _ in range(5)])
-        got = mat_mul(a, b).to_rows()
-        ar, br = a.to_rows(), b.to_rows()
-        want = [
-            [sum(ar[i][k] * br[k][j] for k in range(3)) % 2 for j in range(5)]
-            for i in range(4)
-        ]
-        assert got == want
 
 
 def test_span_tracker_solve_matches_inputs():

@@ -23,7 +23,7 @@ from minbasis.mcb import (
 from minbasis.oracle import brute_mcb
 from minbasis.tight import enumerate_tight_cycles, is_tight
 
-from test_graph import small_graphs
+from test_graph import seeded_multigraphs, small_graphs
 
 ALL_ENGINES = [mcb_earliest, mcb_depina, mcb_kavitha]
 
@@ -163,6 +163,29 @@ def test_engines_accept_precomputed_tight_set():
     tcs = enumerate_tight_cycles(g)
     for engine in ALL_ENGINES:
         assert engine(g, tcs).total_weight == 30
+
+
+def test_depina_and_kavitha_pick_the_same_cycles_in_order():
+    """Both engines pick with the same support vector at every step.
+
+    At step i the support vector lies in e_i + span(e_0..e_{i-1}) over the
+    non-tree edges and is orthogonal to the i cycles picked before; these
+    conditions fix it, so the picks and the final vectors coincide.
+    """
+    for g in seeded_multigraphs(2004, 200):
+        tcs = enumerate_tight_cycles(g)
+        dp, kv = mcb_depina(g, tcs), mcb_kavitha(g, tcs)
+        assert [c.mask for c in dp.cycles] == [c.mask for c in kv.cycles]
+        assert [s.bits for s in dp.certificate] == [s.bits for s in kv.certificate]
+        certificate_holds(dp, g.m)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_engines_reject_tight_set_of_another_graph(engine):
+    tcs = enumerate_tight_cycles(k4())
+    wider = Graph(4, [*((e.u, e.v, e.w) for e in k4().edges), (0, 1, 5)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        engine(wider, tcs)
 
 
 def test_parallel_edge_graph():

@@ -179,7 +179,7 @@ def test_homologous_rejects_non_cycles():
     g = skeleton(k)
     z = cycle_from_mask(g, 0b111)
     bad = cycle_from_mask(g, 0)
-    object.__setattr__(bad.edge_set, "bits", 0b001)  # single edge: odd degrees
+    object.__setattr__(bad, "mask", 0b001)  # single edge: odd degrees
     with pytest.raises(ValueError, match="odd degree"):
         homologous(k, z, bad)
 
