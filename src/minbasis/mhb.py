@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InternalInvariantError
 from .gf2 import Gf2Vector, SpanTracker, in_span
 from .graph import Cycle, Graph, cyclomatic_number
-from .mcb import ENGINES
+from .mcb import ENGINES, earliest_cycles
 from .simplicial import SimplicialComplex, boundary_matrix, skeleton
 from .tight import enumerate_tight_cycles
 
@@ -33,7 +33,8 @@ class HomologyBasisReport:
         return tuple(sorted(c.base for c in self.cycles))
 
 
-def _require_valid(k: SimplicialComplex) -> None:
+def require_valid(k: SimplicialComplex) -> None:
+    """Raise ``ValueError`` listing every violation of an invalid complex."""
     violations = k.validate()
     if violations:
         raise ValueError("invalid complex: " + "; ".join(violations))
@@ -53,12 +54,7 @@ def _profile_basis(
     boundary_sel = [
         t for t, col in enumerate(boundary_matrix(k, 2).columns) if tracker.add(col.bits)
     ]
-    chosen: list[Cycle] = []
-    for c in cycle_columns:
-        if tracker.rank == cycle_rank:
-            break
-        if tracker.add(c.mask):
-            chosen.append(c)
+    chosen = earliest_cycles(tracker, cycle_columns, cycle_rank)
     beta1 = cycle_rank - len(boundary_sel)
     if len(chosen) != beta1:
         raise InternalInvariantError(
@@ -71,14 +67,14 @@ def _profile_basis(
 
 def mhb_tight(k: SimplicialComplex) -> HomologyBasisReport:
     """Rank profile of the boundary columns followed by all tight cycles."""
-    _require_valid(k)
+    require_valid(k)
     g = skeleton(k)
     return _profile_basis(k, g, enumerate_tight_cycles(g).cycles, "tight")
 
 
 def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> HomologyBasisReport:
     """Rank profile of the boundary columns followed by a minimum cycle basis."""
-    _require_valid(k)
+    require_valid(k)
     try:
         engine = ENGINES[mcb_engine]
     except KeyError:
@@ -105,7 +101,7 @@ def _check_cycle(k: SimplicialComplex, z: Cycle, name: str) -> None:
 
 def homologous(k: SimplicialComplex, z1: Cycle, z2: Cycle) -> bool:
     """Whether two cycles differ by a sum of triangle boundaries."""
-    _require_valid(k)
+    require_valid(k)
     _check_cycle(k, z1, "z1")
     _check_cycle(k, z2, "z2")
     diff = Gf2Vector(k.m, z1.mask ^ z2.mask)

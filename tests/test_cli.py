@@ -142,6 +142,10 @@ def test_usage_error_exit_1():
     assert code == 1 and "usage" in err.lower()
     code, _, _ = run_cli(["mcb", "--engine", "bogus", "x.grf"])
     assert code == 1
+    for flag in ("--graphs", "--complexes"):
+        code, out, err = run_cli(["bench", "--seed", "1", flag, "-1"])
+        assert code == 1 and out == ""
+        assert f"argument {flag}: must be >= 0, got -1" in err and "usage: minbasis bench" in err
 
 
 def test_closure_violation_and_auto_close(tmp_path):
@@ -229,17 +233,37 @@ def test_bench_json_format():
     assert len(payload["rows"]) == 3
 
 
+def test_bench_text_rows_match_json_rows():
+    argv = ["bench", "--seed", "5", "--graphs", "4", "--complexes", "3"]
+    code, text, _ = run_cli(argv)
+    assert code == 0
+    code, out, _ = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    lines = text.splitlines()
+    fields = ["kind", "name", "n", "m", "rank", "weight", "verdict"]
+    assert lines[0].split() == fields
+    assert [line.split() for line in lines[1:-1]] == [[str(r[f]) for f in fields] for r in rows]
+    assert [r["kind"] for r in rows] == ["graph"] * 4 + ["complex"] * 3
+    assert lines[-1] == "verdict: all engines agree (4 graphs, 3 complexes)"
+
+
 def test_oracle_subcommands(tmp_path, k4_file, torus_file):
     code, out, _ = run_cli(["oracle", "mcb", str(k4_file)])
     assert code == 0
     payload = json.loads(out)
     assert payload["oracle_version"] == 1 and payload["total_weight"] == 9
+    assert list(payload) == ["oracle_version", "engine", "nu", "total_weight", "cycles"]
 
     code, out, _ = run_cli(["oracle", "tight", str(k4_file)])
-    assert json.loads(out)["count"] == 4
+    payload = json.loads(out)
+    assert payload["count"] == 4
+    assert list(payload) == ["oracle_version", "count", "total_length", "cycles"]
 
     code, out, _ = run_cli(["oracle", "mhb", str(torus_file)])
-    assert json.loads(out)["total_weight"] == 6
+    payload = json.loads(out)
+    assert payload["total_weight"] == 6
+    assert list(payload) == ["oracle_version", "engine", "beta1", "total_weight", "cycles"]
 
     code, out, _ = run_cli(["oracle", "regen", "--seed", "7", "--out", str(tmp_path / "fx")])
     assert code == 0

@@ -10,6 +10,7 @@ from minbasis.fixtures import (
     path_graph,
     petersen,
     random_connected_graph,
+    random_graph_nm,
     two_triangles,
 )
 from minbasis.gf2 import Gf2Matrix, Gf2Vector, inner_product, rank
@@ -178,6 +179,22 @@ def test_depina_and_kavitha_pick_the_same_cycles_in_order():
         assert [c.mask for c in dp.cycles] == [c.mask for c in kv.cycles]
         assert [s.bits for s in dp.certificate] == [s.bits for s in kv.certificate]
         certificate_holds(dp, g.m)
+
+
+@pytest.mark.parametrize("engine", [mcb_depina, mcb_kavitha])
+def test_every_pick_is_the_lightest_odd_tight_cycle(engine):
+    """Step i picks the lightest tight cycle odd against its support vector.
+
+    Later steps change only the vectors after i, so the certificate holds
+    the vector each step picked with.  The dense graphs (nu = 91) are past
+    the brute-force oracle's budget.
+    """
+    dense = (random_graph_nm(random.Random(seed), 30, 120) for seed in range(5))
+    for g in (*seeded_multigraphs(2005, 100), *dense):
+        tcs = enumerate_tight_cycles(g)
+        report = engine(g, tcs)
+        for i, s in enumerate(report.certificate):
+            assert min_weight_odd_cycle(tcs, s) is report.cycles[i]
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES)
