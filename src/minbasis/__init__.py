@@ -25,12 +25,10 @@ from .graph import (
     Cycle,
     Graph,
     PerturbedWeight,
-    SpTree,
     apsp,
     cycle_from_edges,
     cycle_from_mask,
     cyclomatic_number,
-    dijkstra,
     fundamental_cycles,
     load_graph,
     parse_graph,
@@ -75,7 +73,6 @@ __all__ = [
     "PerturbedWeight",
     "RankProfile",
     "SimplicialComplex",
-    "SpTree",
     "TightCycleSet",
     "all_cycle_vectors",
     "apsp",
@@ -87,7 +84,6 @@ __all__ = [
     "cycle_from_edges",
     "cycle_from_mask",
     "cyclomatic_number",
-    "dijkstra",
     "enumerate_tight_cycles",
     "fundamental_cycles",
     "homologous",

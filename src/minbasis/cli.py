@@ -30,6 +30,8 @@ from .tight import TightCycleSet, enumerate_tight_cycles
 TEXT_CYCLE_CAP = 50
 BENCH_FIELDS = ("kind", "name", "n", "m", "rank", "weight", "verdict")
 BENCH_ROW = "{kind:<8} {name:<5} {n:<3} {m:<3} {rank:<5} {weight:<7} {verdict}\n"
+#: Subcommands named in help and usage errors; ``oracle`` parses but is not listed.
+SUBCOMMANDS = ("mcb", "mhb", "tight-cycles", "betti", "bench")
 
 
 class CliUsageError(ValueError):
@@ -39,6 +41,12 @@ class CliUsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are input errors, exit 1
         raise CliUsageError(f"{message}\n{self.format_usage()}".rstrip())
+
+    def _check_value(self, action, value):
+        if action.dest == "subcommand" and value not in action.choices:
+            choices = ", ".join(map(repr, SUBCOMMANDS))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+        super()._check_value(action, value)
 
 
 def _count(text: str) -> int:
@@ -57,7 +65,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="minbasis", description=__doc__)
     sub = parser.add_subparsers(
         dest="subcommand",
-        metavar="{mcb,mhb,tight-cycles,betti,bench}",
+        metavar="{" + ",".join(SUBCOMMANDS) + "}",
         required=True,
     )
 

@@ -9,6 +9,11 @@ infinitesimal weight bonus proportional to ``2**i``, which in practice
 means comparing ``(weight sum, edge bit set)`` pairs with the bit set
 read as an integer.  Distinct edge sets therefore never compare equal,
 and everything downstream is deterministic.
+
+Shortest paths have one representation: the (weight, edge bit set) keys
+of ``shortest_path_keys``, the one Dijkstra loop.  The tie mask of v is
+the edge set of the unique shortest root -> v path, so no parent
+pointers are kept; ``apsp`` holds one row of keys per root.
 """
 
 from __future__ import annotations
@@ -37,18 +42,6 @@ class PerturbedWeight:
 
     base: int
     tie: int
-
-    def __add__(self, other: "PerturbedWeight") -> "PerturbedWeight":
-        if not isinstance(other, PerturbedWeight):
-            return NotImplemented
-        # Concatenation is only defined for edge-disjoint sets.
-        if self.tie & other.tie:
-            raise ValueError("edge sets overlap; concatenation undefined")
-        return PerturbedWeight(self.base + other.base, self.tie | other.tie)
-
-    @classmethod
-    def zero(cls) -> "PerturbedWeight":
-        return cls(0, 0)
 
 
 class Graph:
@@ -164,33 +157,6 @@ def cycle_from_edges(g: Graph, indices: Iterable[int]) -> Cycle:
     return cycle_from_mask(g, mask)
 
 
-@dataclass
-class SpTree:
-    """Shortest-path tree under the tie-broken order.
-
-    ``dist``, ``parent_edge`` and ``parent_vertex`` are None for
-    unreachable vertices (and for the root's parent fields); ``order``
-    lists reachable vertices in settle order, root first.
-    """
-
-    root: int
-    dist: list[Optional[PerturbedWeight]]
-    parent_edge: list[Optional[int]]
-    parent_vertex: list[Optional[int]]
-    order: list[int]
-
-    def path_edges(self, v: int) -> list[int]:
-        """Edge indices of the unique shortest path root -> v."""
-        if self.dist[v] is None:
-            raise ValueError(f"vertex {v} unreachable from root {self.root}")
-        out = []
-        while self.parent_edge[v] is not None:
-            out.append(self.parent_edge[v])
-            v = self.parent_vertex[v]
-        out.reverse()
-        return out
-
-
 Adjacency = list[list[tuple[int, int, int]]]
 
 
@@ -232,54 +198,32 @@ def shortest_path_keys(adj: Adjacency, root: int) -> tuple[list[Optional[int]], 
     return base, tie
 
 
-def _sp_tree(g: Graph, adj: Adjacency, root: int, vertices: list[int]) -> SpTree:
-    """The kernel's keys from ``root`` as an SpTree.
-
-    Settle order strictly increases in (base, tie), even with zero
-    weights, so ``order`` is the reachable ``vertices`` sorted by key; one
-    shared id list keeps the n orders of ``apsp`` from holding n² ints.
-    The parent edge of v is its one edge on the root -> v path; ``adj[v]``
-    lists v's edges in ``g.incident(v)`` order.
-    """
-    base, tie = shortest_path_keys(adj, root)
-    order = sorted((v for v in vertices if base[v] is not None), key=lambda v: (base[v], tie[v]))
-    tree = SpTree(root, [None] * g.n, [None] * g.n, [None] * g.n, order)
-    for v in order:
-        t = tie[v]
-        tree.dist[v] = PerturbedWeight(base[v], t)
-        for e_idx, (u, _, bit) in zip(g.incident(v), adj[v]):
-            if t & bit:  # never at the root, whose tie is 0
-                tree.parent_edge[v], tree.parent_vertex[v] = e_idx, u
-                break
-    return tree
-
-
-def dijkstra(g: Graph, root: int) -> SpTree:
-    """Single-source shortest paths with exact tie-breaking.
-
-    Derived from ``shortest_path_keys``: ``dist[v]`` is the (weight, edge
-    bit set) key of the unique shortest path, so the tree is deterministic.
-    """
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range")
-    return _sp_tree(g, weighted_adjacency(g.n, g.edges), root, list(range(g.n)))
-
-
 @dataclass
 class AllPairs:
-    """All shortest-path trees plus the pairwise distance table."""
+    """The kernel's keys from every root.
+
+    ``table[r][v]`` is the (weight, edge bit set) key of the unique
+    shortest r -> v path, whose tie mask is that path's edge set, or None
+    when v is unreachable from r.
+    """
 
     graph: Graph
-    trees: list[SpTree]
     table: list[list[Optional[PerturbedWeight]]]
+
+    @property
+    def trees(self) -> list[list[Optional[PerturbedWeight]]]:
+        """The table's rows, one per root, as ``horton_candidates`` reads them."""
+        return self.table
 
 
 def apsp(g: Graph) -> AllPairs:
     """All-pairs shortest paths: one kernel run per root over one adjacency."""
-    adj, vertices = weighted_adjacency(g.n, g.edges), list(range(g.n))
-    trees = [_sp_tree(g, adj, r, vertices) for r in vertices]
-    table = [list(t.dist) for t in trees]
-    return AllPairs(g, trees, table)
+    adj = weighted_adjacency(g.n, g.edges)
+    table = [
+        [None if b is None else PerturbedWeight(b, t) for b, t in zip(*shortest_path_keys(adj, r))]
+        for r in range(g.n)
+    ]
+    return AllPairs(g, table)
 
 
 def component_count(g: Graph) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError
 from .gf2 import Gf2Vector, SpanTracker, in_span
-from .graph import Cycle, Graph, cyclomatic_number
+from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number
 from .mcb import ENGINES, earliest_cycles
 from .simplicial import SimplicialComplex, boundary_matrix, skeleton
 from .tight import enumerate_tight_cycles
@@ -84,25 +84,21 @@ def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> HomologyB
     return _profile_basis(k, g, columns, "via_mcb")
 
 
-def _check_cycle(k: SimplicialComplex, z: Cycle, name: str) -> None:
-    if z.length != k.m:
-        raise ValueError(f"{name}: edge-vector length {z.length} != {k.m}")
-    parity = 0  # per-vertex degree parity packed as bits
-    rest = z.mask
-    while rest:
-        low = rest & -rest
-        e = k.edges[low.bit_length() - 1]
-        parity ^= (1 << e.u) | (1 << e.v)
-        rest ^= low
-    if parity:
-        v = parity.bit_length() - 1
-        raise ValueError(f"{name}: vertex {v} has odd degree; not a cycle")
+def _check_cycle(g: Graph, z: Cycle, name: str) -> None:
+    """Raise ``ValueError`` prefixed with ``name`` unless ``z`` is a cycle of ``g``."""
+    if z.length != g.m:
+        raise ValueError(f"{name}: edge-vector length {z.length} != {g.m}")
+    try:
+        cycle_from_mask(g, z.mask)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def homologous(k: SimplicialComplex, z1: Cycle, z2: Cycle) -> bool:
     """Whether two cycles differ by a sum of triangle boundaries."""
     require_valid(k)
-    _check_cycle(k, z1, "z1")
-    _check_cycle(k, z2, "z2")
+    g = skeleton(k)
+    _check_cycle(g, z1, "z1")
+    _check_cycle(g, z2, "z2")
     diff = Gf2Vector(k.m, z1.mask ^ z2.mask)
     return in_span(boundary_matrix(k, 2), diff) is not None

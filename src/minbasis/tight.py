@@ -38,9 +38,9 @@ test rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .graph import AllPairs, Cycle, Graph, SpTree
+from .graph import AllPairs, Cycle, Graph, PerturbedWeight
 from .graph import shortest_path_keys, weighted_adjacency
 
 
@@ -89,13 +89,15 @@ def _sorted_cycles(g: Graph, masks: Iterable[int]) -> list[Cycle]:
     ]
 
 
-def horton_candidates(g: Graph, trees: Iterable[SpTree]) -> list[Cycle]:
+def horton_candidates(g: Graph, rows: Iterable[list[Optional[PerturbedWeight]]]) -> list[Cycle]:
     """Every distinct candidate path(v,x) + (x,y) + path(y,v), sorted by weight.
 
-    Unreachable vertices get tie -1, which meets every mask, so the
-    simple-path test rejects the edges among them.
+    ``rows`` are key rows such as ``apsp(g).table``, one per root v: the
+    tie of ``row[x]`` is the edge set of the v -> x path.  Unreachable
+    vertices get tie -1, which meets every mask, so the simple-path test
+    rejects the edges among them.
     """
-    ties = ([d.tie if d else -1 for d in t.dist] for t in trees)
+    ties = ([-1 if d is None else d.tie for d in row] for row in rows)
     return _sorted_cycles(g, _count_candidates(g.edges, ties))
 
 

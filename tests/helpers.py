@@ -145,6 +145,28 @@ def keyed_bellman_ford(n, edges, source):
     return dist
 
 
+def simple_path(edges, mask, source):
+    """Vertices of the simple path the edges of ``mask`` form from ``source``.
+
+    Walks from ``source`` along the one unused edge of ``mask`` at each
+    vertex.  Returns None unless that walk uses every edge and visits no
+    vertex twice: the source and the far end then have degree 1, every
+    other touched vertex degree 2, and there are popcount + 1 vertices.
+    """
+    unused = {idx for idx in range(mask.bit_length()) if mask >> idx & 1}
+    path = [source]
+    while unused:
+        step = [idx for idx in unused if path[-1] in edges[idx][:2]]
+        if len(step) != 1:
+            return None
+        unused.remove(step[0])
+        u, v = edges[step[0]][:2]
+        path.append(v if path[-1] == u else u)
+        if path[-1] in path[:-1]:
+            return None
+    return path
+
+
 def floyd_warshall(n, edges):
     """Base-weight all-pairs distances; None for unreachable pairs."""
     inf = float("inf")

@@ -286,6 +286,9 @@ def test_oracle_hidden_from_help():
         with pytest.raises(SystemExit):
             cli.main(["--help"])
     assert "oracle" not in out.getvalue()
+    code, _, err = run_cli(["frob"])
+    assert code == 1
+    assert "invalid choice: 'frob'" in err and "oracle" not in err
 
 
 def test_module_entry_point(k4_file):

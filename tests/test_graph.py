@@ -15,11 +15,12 @@ from minbasis.graph import (
     cycle_from_edges,
     cycle_from_mask,
     cyclomatic_number,
-    dijkstra,
     format_graph,
     fundamental_cycles,
     parse_graph,
+    shortest_path_keys,
     spanning_forest,
+    weighted_adjacency,
 )
 
 
@@ -72,74 +73,63 @@ def test_graph_validation():
     assert g.incident(0) == (0, 1)
 
 
-def test_perturbed_weight_order_and_addition():
+def test_perturbed_weight_order():
     a = PerturbedWeight(2, 0b011)
     b = PerturbedWeight(2, 0b100)
     assert a < b  # equal base, lower-indexed edge set wins
     assert PerturbedWeight(1, 0b1000) < a
-    assert a + PerturbedWeight(1, 0b100) == PerturbedWeight(3, 0b111)
-    with pytest.raises(ValueError):
-        a + PerturbedWeight(0, 0b001)  # overlapping edge sets
-    assert PerturbedWeight.zero() + a == a
+
+
+def _keys(row):
+    return [None if d is None else (d.base, d.tie) for d in row]
 
 
 def test_dijkstra_path_graph():
     g = Graph(3, [(0, 1, 1), (1, 2, 1)])
-    tree = dijkstra(g, 0)
-    assert tree.dist[2] == PerturbedWeight(2, 0b11)
-    assert tree.path_edges(2) == [0, 1]
+    assert apsp(g).table[0][2] == PerturbedWeight(2, 0b11)
 
 
 def test_dijkstra_four_cycle_tie_break():
     # Unit 4-cycle 0-1-2-3-0; from root 0 the antipodal vertex 2 ties on
     # weight and the lower-indexed edge set {0, 1} must win.
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-    tree = dijkstra(g, 0)
-    assert tree.dist[2] == PerturbedWeight(2, 0b0011)
-    assert tree.path_edges(2) == [0, 1]
-    assert tree.dist[1] == PerturbedWeight(1, 0b0001)
-    assert tree.dist[3] == PerturbedWeight(1, 0b1000)
+    row = apsp(g).table[0]
+    assert row[2] == PerturbedWeight(2, 0b0011)
+    assert row[1] == PerturbedWeight(1, 0b0001)
+    assert row[3] == PerturbedWeight(1, 0b1000)
 
 
 def test_dijkstra_unreachable():
     g = Graph(4, [(0, 1, 1)])
-    tree = dijkstra(g, 0)
-    assert tree.dist[2] is None
-    with pytest.raises(ValueError):
-        tree.path_edges(2)
+    assert apsp(g).table[0] == [PerturbedWeight(0, 0), PerturbedWeight(1, 0b1), None, None]
+    assert shortest_path_keys(weighted_adjacency(g.n, g.edges), 0) == ([0, 1, None, None], [0, 1, 0, 0])
 
 
 @settings(max_examples=50, deadline=None)
 @given(small_graphs())
 def test_dijkstra_base_matches_bellman_ford(g):
     raw = [(e.u, e.v, e.w) for e in g.edges]
+    table = apsp(g).table
     for root in range(g.n):
-        tree = dijkstra(g, root)
-        expect = helpers.keyed_bellman_ford(g.n, raw, root)
-        assert [None if d is None else (d.base, d.tie) for d in tree.dist] == expect
+        assert _keys(table[root]) == helpers.keyed_bellman_ford(g.n, raw, root)
 
 
 def test_dijkstra_trees_exact_on_multigraphs():
     for g in seeded_multigraphs(1987, 60):
         raw = [tuple(e) for e in g.edges]
-        trees = apsp(g).trees
+        adj = weighted_adjacency(g.n, g.edges)
+        pairs = apsp(g)
+        assert pairs.trees is pairs.table
         for root in range(g.n):
-            tree = dijkstra(g, root)
-            assert trees[root] == tree
             want = helpers.keyed_bellman_ford(g.n, raw, root)
-            assert [None if d is None else (d.base, d.tie) for d in tree.dist] == want
-            assert tree.order[0] == root
-            assert sorted(tree.order) == [v for v in range(g.n) if want[v] is not None]
-            keys = [tree.dist[v] for v in tree.order]
-            assert all(a < b for a, b in zip(keys, keys[1:]))
-            for v in tree.order:
-                path = tree.path_edges(v)
-                assert len(set(path)) == len(path)
-                assert sum(1 << e for e in path) == tree.dist[v].tie
-                if v == root:
-                    assert tree.parent_edge[v] is None and tree.parent_vertex[v] is None
-                else:
-                    assert tree.parent_vertex[v] == g.other_end(tree.parent_edge[v], v)
+            assert _keys(pairs.table[root]) == want
+            base, tie = shortest_path_keys(adj, root)
+            assert [None if b is None else (b, t) for b, t in zip(base, tie)] == want
+            for v, key in enumerate(want):
+                if key is not None:
+                    path = helpers.simple_path(raw, key[1], root)
+                    assert path is not None and path[-1] == v
+                    assert len(path) == key[1].bit_count() + 1
 
 
 def test_apsp_triangle_and_star():
@@ -190,18 +180,16 @@ def test_perturbed_shortest_paths_are_unique_minima(g):
 @settings(max_examples=25, deadline=None)
 @given(small_graphs(max_n=6))
 def test_tie_break_consistent_between_roots(g):
+    table = apsp(g).table
     for u in range(g.n):
-        tree_u = dijkstra(g, u)
         for v in range(g.n):
-            if tree_u.dist[v] is None:
-                continue
-            tree_v = dijkstra(g, v)
-            assert set(tree_u.path_edges(v)) == set(tree_v.path_edges(u))
+            if table[u][v] is not None:
+                assert table[u][v].tie == table[v][u].tie
 
 
 def test_unit_weight_distances_match_bfs_depth():
     g = Graph(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 5, 1), (5, 4, 1)])
-    tree = dijkstra(g, 0)
+    row = apsp(g).table[0]
     from collections import deque
 
     depth = {0: 0}
@@ -214,7 +202,7 @@ def test_unit_weight_distances_match_bfs_depth():
                 depth[o] = depth[v] + 1
                 dq.append(o)
     for v, d in depth.items():
-        assert tree.dist[v].base == d
+        assert row[v].base == d
 
 
 def test_cyclomatic_number():

@@ -11,7 +11,7 @@ from minbasis.fixtures import (
     torus_seven,
 )
 from minbasis.gf2 import Gf2Matrix, rank
-from minbasis.graph import Edge, apsp, cycle_from_mask
+from minbasis.graph import Cycle, Edge, apsp, cycle_from_mask
 from minbasis.mcb import mcb_earliest
 from minbasis.mhb import homologous, mhb_tight, mhb_via_mcb
 from minbasis.oracle import brute_mhb
@@ -182,6 +182,8 @@ def test_homologous_rejects_non_cycles():
     object.__setattr__(bad, "mask", 0b001)  # single edge: odd degrees
     with pytest.raises(ValueError, match="odd degree"):
         homologous(k, z, bad)
+    with pytest.raises(ValueError, match="z2: edge mask out of range"):
+        homologous(k, z, Cycle(0b1111, 3, k.m, 3))
 
 
 def test_mhb_of_disconnected_complex():

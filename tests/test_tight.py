@@ -19,7 +19,6 @@ from minbasis.graph import (
     apsp,
     cycle_from_edges,
     cyclomatic_number,
-    dijkstra,
     shortest_path_keys,
     weighted_adjacency,
 )
@@ -116,24 +115,20 @@ def test_is_tight_requires_elementary_cycle():
         is_tight(both, apsp(g))
 
 
-def _path_vertices(tree, v):
-    out = {v}
-    while tree.parent_vertex[v] is not None:
-        v = tree.parent_vertex[v]
-        out.add(v)
-    return out
+def _path_vertices(g, mask, root):
+    """The root plus the endpoints of the edges in ``mask``."""
+    return {root} | {x for i in range(g.m) if mask >> i & 1 for x in g.edges[i][:2]}
 
 
 def test_disjoint_tie_masks_iff_root_paths_meet_only_at_root():
     for g in seeded_multigraphs(2010, 60):
         adj = weighted_adjacency(g.n, g.edges)
         for root in range(g.n):
-            _, tie = shortest_path_keys(adj, root)
-            tree = dijkstra(g, root)
+            base, tie = shortest_path_keys(adj, root)
             for e in g.edges:
-                if tree.dist[e.u] is None:
+                if base[e.u] is None:
                     continue
-                shared = _path_vertices(tree, e.u) & _path_vertices(tree, e.v)
+                shared = _path_vertices(g, tie[e.u], root) & _path_vertices(g, tie[e.v], root)
                 assert (tie[e.u] & tie[e.v] == 0) == (shared == {root})
 
 
