@@ -305,6 +305,21 @@ def fundamental_cycles(g: Graph) -> list[Cycle]:
 # ---------------------------------------------------------------------------
 # Text format: `graph <n> <m>` header, then `e <u> <v> <w>` lines.
 
+def parse_ints(fields: list[str]) -> list[int]:
+    """The integer fields of one whitespace-split line of the text formats.
+
+    Each field must be ASCII ``[+-]?[0-9]+``.  Bare ``int`` also reads
+    ``1_0`` as 10 and accepts Arabic-Indic or fullwidth digits; on ASCII
+    fields without ``_`` or whitespace it accepts exactly that pattern,
+    and checking the line once is cheaper than a regular expression per
+    field.
+    """
+    text = "".join(fields)
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"non-integer field in {fields!r}")
+    return list(map(int, fields))
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format; errors carry 1-based line numbers."""
     n = None
@@ -319,7 +334,7 @@ def parse_graph(text: str) -> Graph:
             if fields[0] != "graph" or len(fields) != 3:
                 raise ParseError(f"line {lineno}: expected header 'graph <n> <m>'")
             try:
-                n, m_declared = int(fields[1]), int(fields[2])
+                n, m_declared = parse_ints(fields[1:])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer header field") from None
             if n < 0 or m_declared < 0:
@@ -328,7 +343,7 @@ def parse_graph(text: str) -> Graph:
         if fields[0] != "e" or len(fields) != 4:
             raise ParseError(f"line {lineno}: expected 'e <u> <v> <w>'")
         try:
-            u, v, w = int(fields[1]), int(fields[2]), int(fields[3])
+            u, v, w = parse_ints(fields[1:])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer edge field") from None
         if not (0 <= u < n and 0 <= v < n):

@@ -10,14 +10,22 @@ Three interchangeable engines, all exact and deterministic:
 * ``kavitha``   - same invariants as ``depina`` but the support vectors
   are re-orthogonalized in bulk by a divide-and-conquer block update.
 
-``depina`` and ``kavitha`` share one core: the setup, the lightest-odd
-pick and the report with its certificate; each supplies only its update.
+``depina`` and ``kavitha`` share one core: the setup, the pick and the
+report with its certificate; each supplies only its update.
 Support vectors are edge-space bit masks.  The i-th starts as the unit
 vector on the i-th non-tree edge of a fixed spanning forest and is only
 ever combined with earlier ones, so every support vector is zero on tree
 edges.  That unit vector is never orthogonal to its edge's fundamental
 cycle, so a qualifying cycle always exists, and the final vectors are
 the certificate as they stand.
+
+Each support vector S_i carries a parity row P_i: bit j of P_i is the
+inner product of the j-th cycle of the weight-sorted tight list with
+S_i.  The rows start as "the tight cycles containing non-tree edge i",
+built in one pass over the tight masks, and every ``S_j ^= S_k`` goes
+with ``P_j ^= P_k``.  The lightest tight cycle odd against S_i is then
+the lowest set bit of P_i, and an inner product is one bit of a row,
+so the engines take no popcount over edge masks.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from .errors import InfeasibleSupportError, InternalInvariantError
 from .gf2 import Gf2Vector, SpanTracker
 from .graph import Cycle, Graph, cyclomatic_number, spanning_forest
 from .tight import TightCycleSet, enumerate_tight_cycles
+
+
+_NO_ODD_CYCLE = "no tight cycle has odd inner product with the support vector"
 
 
 @dataclass
@@ -48,15 +59,6 @@ class BasisReport:
         return tuple(sorted(c.base for c in self.cycles))
 
 
-def _lightest_odd(cycles: list[Cycle], s: int) -> Cycle:
-    for c in cycles:
-        if (c.mask & s).bit_count() & 1:
-            return c
-    raise InfeasibleSupportError(
-        "no tight cycle has odd inner product with the support vector"
-    )
-
-
 def min_weight_odd_cycle(tcs: TightCycleSet, s: Gf2Vector) -> Cycle:
     """Lightest tight cycle with odd inner product against ``s``.
 
@@ -68,7 +70,10 @@ def min_weight_odd_cycle(tcs: TightCycleSet, s: Gf2Vector) -> Cycle:
     if s.is_zero():
         raise ValueError("support vector must be nonzero")
     _check_lengths(tcs, s.length)
-    return _lightest_odd(tcs.cycles, s.bits)
+    for c in tcs.cycles:
+        if (c.mask & s.bits).bit_count() & 1:
+            return c
+    raise InfeasibleSupportError(_NO_ODD_CYCLE)
 
 
 def _check_lengths(tcs: TightCycleSet, m: int) -> None:
@@ -111,7 +116,7 @@ def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     return BasisReport("earliest", chosen, sum(c.base for c in chosen))
 
 
-Update = Callable[[list[int], Callable[[int], int]], None]
+Update = Callable[[list[int], list[int], Callable[[int], int]], None]
 
 
 def _support_basis(
@@ -119,20 +124,31 @@ def _support_basis(
 ) -> BasisReport:
     """The support-vector core shared by ``depina`` and ``kavitha``.
 
-    ``update(support, pick)`` must call ``pick(i)`` for i = 0, 1, ... in
-    order, each time with ``support[i]`` orthogonal to the cycles picked
-    before; ``pick`` returns the chosen cycle's mask.
+    ``update(support, parity, pick)`` must call ``pick(i)`` for i = 0,
+    1, ... in order, each time with ``support[i]`` orthogonal to the
+    cycles picked before, and must pair every ``support[j] ^=
+    support[k]`` with ``parity[j] ^= parity[k]``.  ``pick`` returns the
+    chosen cycle's position in the tight list.
     """
     tcs = _tight_set(g, tight)
-    support = [1 << e for e in spanning_forest(g)[1]]
+    nontree = spanning_forest(g)[1]
+    support = [1 << e for e in nontree]
+    on_edge = [0] * g.m  # bit j set when tight cycle j contains the edge
+    for j, c in enumerate(tcs.cycles):
+        for e in c.edge_indices():
+            on_edge[e] |= 1 << j
+    parity = [on_edge[e] for e in nontree]
     cycles: list[Cycle] = []
 
     def pick(i: int) -> int:
-        c = _lightest_odd(tcs.cycles, support[i])
-        cycles.append(c)
-        return c.mask
+        row = parity[i]
+        if not row:
+            raise InfeasibleSupportError(_NO_ODD_CYCLE)
+        j = (row & -row).bit_length() - 1
+        cycles.append(tcs.cycles[j])
+        return j
 
-    update(support, pick)
+    update(support, parity, pick)
     if len(cycles) != len(support):
         raise InternalInvariantError(
             f"picked {len(cycles)} cycles for {len(support)} support vectors"
@@ -141,13 +157,16 @@ def _support_basis(
     return BasisReport(engine, cycles, sum(c.base for c in cycles), certificate)
 
 
-def _depina_update(support: list[int], pick: Callable[[int], int]) -> None:
-    # enumerate reads support[i] on reaching it, after the earlier steps' updates
-    for i, s in enumerate(support):
-        mask = pick(i)
+def _depina_update(
+    support: list[int], parity: list[int], pick: Callable[[int], int]
+) -> None:
+    for i in range(len(support)):
+        bit = 1 << pick(i)
+        s, row = support[i], parity[i]
         for j in range(i + 1, len(support)):
-            if (mask & support[j]).bit_count() & 1:
+            if parity[j] & bit:
                 support[j] ^= s
+                parity[j] ^= row
 
 
 def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
@@ -160,34 +179,41 @@ def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     return _support_basis("depina", g, tight, _depina_update)
 
 
-def _kavitha_update(support: list[int], pick: Callable[[int], int]) -> None:
-    chosen = [0] * len(support)
-
-    def inner(rows: list[int], s: int) -> int:
-        """Bit r is the inner product of cycle mask ``rows[r]`` with ``s``."""
-        bits = 0
-        for r, mask in enumerate(rows):
-            if (mask & s).bit_count() & 1:
-                bits |= 1 << r
-        return bits
+def _kavitha_update(
+    support: list[int], parity: list[int], pick: Callable[[int], int]
+) -> None:
+    chosen = [0] * len(support)  # bit j for tight cycle j picked at each step
 
     def solve(lo: int, u: int) -> None:
         if lo == u:
-            chosen[lo] = pick(lo)
+            chosen[lo] = 1 << pick(lo)
             return
         q = (lo + u) // 2
         solve(lo, q)
-        rows = chosen[lo : q + 1]
+        # block row r of vector j is bit chosen[lo + r] of parity[j]
+        place = {chosen[lo + r]: 1 << r for r in range(q + 1 - lo)}
+        sel = sum(place)  # distinct single bits, so the sum is their OR
+
+        def block_row(j: int) -> int:
+            bits, row = parity[j] & sel, 0
+            while bits:
+                low = bits & -bits
+                row |= place[low]
+                bits ^= low
+            return row
+
         a = SpanTracker(track_coefficients=True)
         for j in range(lo, q + 1):
-            a.add(inner(rows, support[j]))
+            a.add(block_row(j))
         for j in range(q + 1, u + 1):
-            w = a.solve(inner(rows, support[j]))
+            w = a.solve(block_row(j))
             if w is None:
                 raise InternalInvariantError("block inner-product matrix is singular")
             while w:
                 low = w & -w
-                support[j] ^= support[lo + low.bit_length() - 1]
+                k = lo + low.bit_length() - 1
+                support[j] ^= support[k]
+                parity[j] ^= parity[k]
                 w ^= low
         solve(q + 1, u)
 
@@ -202,10 +228,12 @@ def mcb_kavitha(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     are made orthogonal to the chosen cycles in one block step: with
     A = C^T [S_lo..S_q] and B = C^T [S_{q+1}..S_u], adding the left
     vectors combined by W = A^-1 B zeroes all the inner products at
-    once.  A is unitriangular by the invariants, so it is invertible;
-    W comes column by column from one elimination of A's columns, and a
-    column it cannot solve means a broken invariant and surfaces as an
-    error.
+    once.  Row r of a vector's column is one bit of its parity row,
+    gathered through a selector of the left half's picks, so the block
+    takes no popcount.  A is unitriangular by the invariants, so it is
+    invertible; W comes column by column from one elimination of A's
+    columns, and a column it cannot solve means a broken invariant and
+    surfaces as an error.
     """
     return _support_basis("kavitha", g, tight, _kavitha_update)
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .errors import ParseError
 from .gf2 import Gf2Matrix, Gf2Vector, rank
-from .graph import MAX_WEIGHT, Edge, Graph, component_count
+from .graph import MAX_WEIGHT, Edge, Graph, component_count, parse_ints
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def parse_complex(text: str, auto_close: bool = False) -> SimplicialComplex:
             if fields[0] != "complex" or len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected header 'complex <n>'")
             try:
-                n = int(fields[1])
+                (n,) = parse_ints(fields[1:])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer vertex count") from None
             if n < 0:
@@ -173,8 +173,7 @@ def parse_complex(text: str, auto_close: bool = False) -> SimplicialComplex:
         if fields[0] != "s" or len(fields) < 2:
             raise ParseError(f"line {lineno}: expected 's <dim> ...'")
         try:
-            dim = int(fields[1])
-            rest = [int(f) for f in fields[2:]]
+            dim, *rest = parse_ints(fields[1:])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer field") from None
         if dim == 1:

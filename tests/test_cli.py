@@ -132,6 +132,14 @@ def test_parse_error_exit_1(tmp_path):
     assert "line 2" in err and out == ""
 
 
+def test_non_ascii_weight_exit_1(tmp_path):
+    bad = tmp_path / "bad.grf"
+    bad.write_text("graph 3 1\ne 1 2 \u0663\n", encoding="utf-8")
+    code, out, err = run_cli(["mcb", str(bad)])
+    assert code == 1 and out == ""
+    assert "line 2: non-integer edge field" in err
+
+
 def test_missing_file_exit_1(tmp_path):
     code, _, err = run_cli(["mcb", str(tmp_path / "nope.grf")])
     assert code == 1 and err.startswith("error:")

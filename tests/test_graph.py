@@ -270,3 +270,24 @@ def test_parse_round_trip_and_errors():
         parse_graph("graph 2 1\ne 0 1 1\ne 1 0 1\n")
     with pytest.raises(ParseError, match="self-loop"):
         parse_graph("graph 2 1\ne 1 1 1\n")
+
+
+# int() alone reads each of these: an underscore separator, Arabic-Indic
+# three, fullwidth three, Devanagari one.
+NON_ASCII_INTS = ("1_0", "\u0663", "\uff13", "\u0967")
+
+
+@pytest.mark.parametrize("field", NON_ASCII_INTS)
+def test_parse_rejects_non_ascii_integer_fields(field):
+    with pytest.raises(ParseError, match="line 1: non-integer header field"):
+        parse_graph(f"graph {field} 0\n")
+    with pytest.raises(ParseError, match="line 1: non-integer header field"):
+        parse_graph(f"graph 3 {field}\n")
+    for edge in (f"{field} 1 1", f"0 {field} 1", f"0 1 {field}"):
+        with pytest.raises(ParseError, match="line 2: non-integer edge field"):
+            parse_graph(f"graph 20 1\ne {edge}\n")
+
+
+def test_parse_accepts_signed_ascii_integers_and_non_ascii_comments():
+    g = parse_graph("# gr\u00e4ph \u0663\ngraph +3 +1\ne 0 +2 007\n")
+    assert g.n == 3 and [tuple(e) for e in g.edges] == [(0, 2, 7)]

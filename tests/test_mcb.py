@@ -22,7 +22,7 @@ from minbasis.mcb import (
     min_weight_odd_cycle,
 )
 from minbasis.oracle import brute_mcb
-from minbasis.tight import enumerate_tight_cycles, is_tight
+from minbasis.tight import TightCycleSet, enumerate_tight_cycles, is_tight
 
 from test_graph import seeded_multigraphs, small_graphs
 
@@ -104,6 +104,22 @@ def test_min_weight_odd_cycle_infeasible_support():
         min_weight_odd_cycle(tcs, s)
 
 
+@pytest.mark.parametrize("engine", [mcb_depina, mcb_kavitha])
+def test_support_engines_reject_a_tight_set_that_does_not_span(engine):
+    """A support vector whose parity row is empty has no odd tight cycle.
+
+    The triangle and the square share vertex 2, so their two cycles are
+    the whole tight list and each one alone spans too little.
+    """
+    g = Graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (2, 5, 1)])
+    tcs = enumerate_tight_cycles(g)
+    assert [c.edge_count() for c in tcs.cycles] == [3, 4]
+    for kept in ([tcs.cycles[0]], [tcs.cycles[1]], []):
+        subset = TightCycleSet(kept, sum(c.edge_count() for c in kept))
+        with pytest.raises(InfeasibleSupportError):
+            engine(g, subset)
+
+
 def certificate_holds(report, m):
     cert = report.certificate
     assert cert is not None and len(cert) == len(report.cycles)
@@ -181,13 +197,29 @@ def test_depina_and_kavitha_pick_the_same_cycles_in_order():
         certificate_holds(dp, g.m)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_support_engines_agree_with_earliest_on_dense_graphs(seed):
+    """nu = 537, far past the oracle budget; kavitha's top blocks hold
+    about 270 vectors, so its block step runs on wide parity rows."""
+    g = random_graph_nm(random.Random(seed), 64, 600)
+    tcs = enumerate_tight_cycles(g)
+    dp, kv = mcb_depina(g, tcs), mcb_kavitha(g, tcs)
+    assert len(dp.cycles) == cyclomatic_number(g) == 537
+    assert [c.mask for c in dp.cycles] == [c.mask for c in kv.cycles]
+    assert {c.mask for c in dp.cycles} == {c.mask for c in mcb_earliest(g, tcs).cycles}
+    certificate_holds(dp, g.m)
+    certificate_holds(kv, g.m)
+
+
 @pytest.mark.parametrize("engine", [mcb_depina, mcb_kavitha])
 def test_every_pick_is_the_lightest_odd_tight_cycle(engine):
     """Step i picks the lightest tight cycle odd against its support vector.
 
     Later steps change only the vectors after i, so the certificate holds
-    the vector each step picked with.  The dense graphs (nu = 91) are past
-    the brute-force oracle's budget.
+    the vector each step picked with.  The engines pick by the lowest bit
+    of a parity row; ``min_weight_odd_cycle`` scans the tight list with
+    one popcount per cycle, so it checks them independently.  The dense
+    graphs (nu = 91) are past the brute-force oracle's budget.
     """
     dense = (random_graph_nm(random.Random(seed), 30, 120) for seed in range(5))
     for g in (*seeded_multigraphs(2005, 100), *dense):

@@ -154,6 +154,15 @@ def test_parse_errors_with_line_numbers():
         parse_complex("# only comments\n")
 
 
+@pytest.mark.parametrize("field", ("1_0", "\u0663", "\uff13", "\u0967"))
+def test_parse_rejects_non_ascii_integer_fields(field):
+    with pytest.raises(ParseError, match="line 1: non-integer vertex count"):
+        parse_complex(f"complex {field}\n")
+    for simplex in (f"{field} 0 1 1", f"1 {field} 1 1", f"1 0 1 {field}", f"2 0 1 {field}"):
+        with pytest.raises(ParseError, match="line 2: non-integer field"):
+            parse_complex(f"complex 20\ns {simplex}\n")
+
+
 def test_auto_close_inserts_missing_edges():
     text = "complex 3\ns 1 0 1 5\ns 2 0 1 2\n"
     with pytest.raises(ValueError):
