@@ -21,7 +21,7 @@ from typing import Optional, TextIO
 
 from . import fixtures, oracle
 from .errors import InternalInvariantError, ParseError
-from .graph import cyclomatic_number, load_graph
+from .graph import cyclomatic_number, load_graph, parse_ints
 from .mcb import ENGINES, BasisReport
 from .mhb import HomologyBasisReport, mhb_tight, mhb_via_mcb, require_valid
 from .simplicial import homology_profile, load_complex
@@ -49,12 +49,24 @@ class _Parser(argparse.ArgumentParser):
         super()._check_value(action, value)
 
 
-def _count(text: str) -> int:
-    """An instance count for ``bench``: an integer >= 0."""
+def _int(text: str) -> int:
+    """An integer option: ASCII ``[+-]?[0-9]+``, like a text-format field.
+
+    ``parse_ints`` gets whitespace-split fields; an option can carry the
+    surrounding whitespace that ``int`` would strip, so that is refused here.
+    """
     try:
-        value = int(text)
+        if text != text.strip():
+            raise ValueError(text)
+        (value,) = parse_ints([text])
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return value
+
+
+def _count(text: str) -> int:
+    """An instance count for ``bench``: an integer >= 0."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -96,7 +108,7 @@ def build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="seeded cross-engine agreement harness")
     p_bench.set_defaults(run=_run_bench)
-    p_bench.add_argument("--seed", type=int, required=True)
+    p_bench.add_argument("--seed", type=_int, required=True)
     p_bench.add_argument("--graphs", type=_count, default=20)
     p_bench.add_argument("--complexes", type=_count, default=10)
     p_bench.add_argument("--format", choices=["text", "json"], default="text")
@@ -107,7 +119,7 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("mode", choices=["mcb", "mhb", "tight", "regen"])
     p_oracle.add_argument("input", nargs="?")
     p_oracle.add_argument("--auto-close", action="store_true")
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=_int, default=0)
     p_oracle.add_argument("--out", default=None)
 
     return parser

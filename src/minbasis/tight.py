@@ -13,7 +13,12 @@ is tight exactly when every one of its vertices generates it.  A root
 generates a given edge set at most once (two joining edges would make
 the tree contain a cycle), so the enumerator counts how often each edge
 set occurs and keeps those whose count equals their vertex count, which
-for a simple cycle is its edge count.  Candidates come straight from the
+for a simple cycle is its edge count.  Roots run in increasing vertex
+order, so a cycle is first generated by its lowest vertex; only that
+root inserts it into the count table, and later roots increment a mask
+already there.  A mask its lowest vertex did not generate cannot be
+tight, so dropping it loses nothing, and the table holds about one
+distinct candidate in six.  Candidates come straight from the
 shortest-path kernel's tie masks: the tie mask of x is the edge set of
 the root -> x path, and the two paths of a candidate meet only at the
 root exactly when their edge masks are disjoint.  One root's masks are
@@ -55,20 +60,38 @@ class TightCycleSet:
 def _count_candidates(
     edges: Iterable[tuple[int, int, int]], ties: Iterable[list[int]]
 ) -> dict[int, int]:
-    """Horton candidate masks mapped to the number of roots generating them.
+    """Horton candidate masks mapped to the number of roots generating them,
+    for every mask that its lowest vertex generates.
 
-    ``ties`` yields one root's tie list at a time, ``tie[x]`` being the
-    edge set of the root -> x path.  A candidate path(v,x) + (x,y) +
-    path(y,v) is kept only when the two paths are edge-disjoint and the
-    joining edge lies on neither; each such edge set is a simple cycle,
-    because paths that met at a vertex other than the root would share
-    the path up to it.  No tie list is kept after it is counted, so a
-    generator holds memory to about one tree at a time.
+    ``ties`` yields the tie lists of roots 0, 1, 2, ... in order, ``tie[x]``
+    being the edge set of the root -> x path.  A candidate path(v,x) +
+    (x,y) + path(y,v) is kept only when the two paths are edge-disjoint
+    and the joining edge lies on neither; each such edge set is a simple
+    cycle, because paths that met at a vertex other than the root would
+    share the path up to it.
+
+    Only a cycle's own vertices generate it, so its lowest vertex is the
+    first root to do so.  ``done`` is the union of the edges incident to
+    the roots already run; a path's edges touch exactly its vertices, so
+    ``tie[x] & done`` is nonzero exactly when the root -> x path passes an
+    earlier root.  A candidate whose two paths pass no earlier root has
+    the current root as its lowest vertex and is stored with count 1; any
+    other candidate only increments a mask already present.  A mask
+    missing at that point was not generated by its lowest vertex, so it
+    cannot be tight, and leaving it out keeps the table to the masks that
+    can reach ``count == edge count``.  No tie list is kept after it is
+    counted, so a generator holds memory to about one tree at a time.
     """
     edges = [(x, y, 1 << i) for i, (x, y, _) in enumerate(edges)]
+    incident: dict[int, int] = {}
+    for x, y, bit in edges:
+        incident[x] = incident.get(x, 0) | bit
+        incident[y] = incident.get(y, 0) | bit
     counts: dict[int, int] = {}
     get = counts.get
-    for tie in ties:
+    done = 0
+    for root, tie in enumerate(ties):
+        late = [t & done for t in tie]  # nonzero: the path passes an earlier root
         for x, y, bit in edges:
             tx, ty = tie[x], tie[y]
             if tx & ty:
@@ -77,7 +100,13 @@ def _count_candidates(
             if path & bit:
                 continue
             mask = path | bit
-            counts[mask] = get(mask, 0) + 1
+            if late[x] or late[y]:
+                c = get(mask)
+                if c is not None:
+                    counts[mask] = c + 1
+            else:
+                counts[mask] = 1
+        done |= incident.get(root, 0)
     return counts
 
 
@@ -97,8 +126,18 @@ def horton_candidates(g: Graph, rows: Iterable[list[Optional[PerturbedWeight]]])
     vertices get tie -1, which meets every mask, so the simple-path test
     rejects the edges among them.
     """
-    ties = ([-1 if d is None else d.tie for d in row] for row in rows)
-    return _sorted_cycles(g, _count_candidates(g.edges, ties))
+    edges = [(x, y, 1 << i) for i, (x, y, _) in enumerate(g.edges)]
+    masks: set[int] = set()
+    for row in rows:
+        tie = [-1 if d is None else d.tie for d in row]
+        for x, y, bit in edges:
+            tx, ty = tie[x], tie[y]
+            if tx & ty:
+                continue
+            path = tx | ty
+            if not path & bit:
+                masks.add(path | bit)
+    return _sorted_cycles(g, masks)
 
 
 def _cycle_walk(g: Graph, cycle: Cycle) -> tuple[list[int], list[int]]:
@@ -249,12 +288,14 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     Works one biconnected block at a time: for each block with at least
     two edges it builds the block's adjacency with vertices and edges
     relabeled in increasing order, runs the shortest-path kernel from
-    each block vertex (each tie list dropped once counted), keeps the
-    candidates generated by all their vertices, and maps them back to
-    the original edge indices.  The tie mask of x is the edge set of the
-    root -> x path, so path disjointness is tested on edge masks.  The
-    merged list is sorted by (weight, edge bit set).  ``pairs`` is
-    accepted for existing callers and ignored.
+    each block vertex in increasing order (each tie list dropped once
+    counted), inserts each candidate into the count table at its lowest
+    vertex only, keeps the candidates generated by all their vertices,
+    and maps them back to the original edge indices.  The tie mask of x
+    is the edge set of the root -> x path, so path disjointness is
+    tested on edge masks.  The merged list is sorted by (weight, edge
+    bit set), so the root order that decides insertion does not show in
+    the output.  ``pairs`` is accepted for existing callers and ignored.
     """
     masks: list[int] = []
     for block in _cyclic_blocks(g):

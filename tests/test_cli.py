@@ -154,6 +154,18 @@ def test_usage_error_exit_1():
         code, out, err = run_cli(["bench", "--seed", "1", flag, "-1"])
         assert code == 1 and out == ""
         assert f"argument {flag}: must be >= 0, got -1" in err and "usage: minbasis bench" in err
+    # integer options are ASCII [+-]?[0-9]+, like the text formats' fields
+    for flag, argv in (
+        ("--graphs", ["bench", "--seed", "1", "--graphs", "٢", "--complexes", "0"]),
+        ("--complexes", ["bench", "--seed", "1", "--graphs", "0", "--complexes", "1_0"]),
+        ("--seed", ["bench", "--seed", "１", "--graphs", "0", "--complexes", "0"]),
+        ("--seed", ["bench", "--seed", "1_0", "--graphs", "0", "--complexes", "0"]),
+        ("--seed", ["oracle", "regen", "--seed", "٣", "--out", "unused"]),
+        ("--graphs", ["bench", "--seed", "1", "--graphs", "0 ", "--complexes", "0"]),
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert f"argument {flag}: invalid int value" in err
 
 
 def test_closure_violation_and_auto_close(tmp_path):

@@ -11,6 +11,7 @@ from minbasis.fixtures import (
     path_graph,
     petersen,
     random_connected_graph,
+    random_graph_nm,
 )
 from minbasis.gf2 import Gf2Matrix, rank
 from minbasis.graph import (
@@ -73,6 +74,26 @@ def test_candidates_are_sorted_and_simple():
     assert keys == sorted(keys)
     for c in cands:
         assert c.vertex_count == c.edge_count()
+
+
+def _candidates_from_rows(g, rows):
+    """Sorted (base, mask) of every distinct candidate, read off the key rows."""
+    found = set()
+    for row in rows:
+        for i, e in enumerate(g.edges):
+            dx, dy = row[e.u], row[e.v]
+            if dx is None or dy is None or dx.tie & dy.tie or (dx.tie | dy.tie) >> i & 1:
+                continue
+            found.add((dx.base + dy.base + e.w, dx.tie | dy.tie | 1 << i))
+    return sorted(found)
+
+
+def test_candidates_match_key_rows():
+    graphs = [*seeded_multigraphs(2011, 60), random_graph_nm(random.Random(1), 30, 90)]
+    for g in graphs:
+        rows = apsp(g).table
+        got = [(c.base, c.mask) for c in horton_candidates(g, rows)]
+        assert got == _candidates_from_rows(g, rows)
 
 
 def test_is_tight_triangle_in_k4():
@@ -257,6 +278,28 @@ def _glued_graph(rng):
     rng.shuffle(label)
     rng.shuffle(edges)
     return Graph(n, [(label[u], label[v], rng.choice(palette)) for u, v in edges])
+
+
+def _relabeled(g, rng):
+    label = list(range(g.n))
+    rng.shuffle(label)
+    return Graph(g.n, [(label[e.u], label[e.v], e.w) for e in g.edges])
+
+
+def test_enumerate_invariant_under_vertex_relabeling():
+    # Roots run in vertex order and each candidate is inserted at its lowest
+    # vertex, so a relabeling changes which root inserts each cycle; the
+    # tight list must still be the pairwise filter's on the original labels.
+    rng = random.Random(2012)
+    graphs = [*seeded_multigraphs(2012, 80), *(_glued_graph(rng) for _ in range(60))]
+    for g in graphs:
+        pairs = apsp(g)
+        filtered = [c for c in horton_candidates(g, pairs.table) if is_tight(c, pairs)]
+        want = [(c.base, c.mask) for c in filtered]
+        for h in (g, _relabeled(g, rng), _relabeled(g, rng)):
+            got = enumerate_tight_cycles(h)
+            assert [(c.base, c.mask) for c in got.cycles] == want
+            assert got.total_length == sum(c.edge_count() for c in filtered)
 
 
 def test_multiplicity_matches_pairwise_filter_past_oracle_budget():
