@@ -23,7 +23,7 @@ from . import fixtures, oracle
 from .errors import InternalInvariantError, ParseError
 from .graph import cyclomatic_number, load_graph, parse_ints
 from .mcb import ENGINES, BasisReport
-from .mhb import HomologyBasisReport, mhb_tight, mhb_via_mcb, require_valid
+from .mhb import HomologyBasisReport, mhb_tight, mhb_via_mcb
 from .simplicial import homology_profile, load_complex
 from .tight import TightCycleSet, enumerate_tight_cycles
 
@@ -147,10 +147,11 @@ def _cycles_payload(cycles) -> list[dict]:
     ]
 
 
-def _basis_payload(report: BasisReport, nu: int) -> dict:
+def _basis_payload(report: BasisReport) -> dict:
+    # every engine raises InternalInvariantError unless it returns nu cycles
     return {
         "engine": report.engine,
-        "nu": nu,
+        "nu": len(report.cycles),
         "total_weight": report.total_weight,
         "cycles": _cycles_payload(report.cycles),
     }
@@ -175,7 +176,7 @@ def _tight_payload(tcs: TightCycleSet) -> dict:
 
 def _run_mcb(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     g = load_graph(cfg.input)
-    payload = _basis_payload(ENGINES[cfg.engine](g), cyclomatic_number(g))
+    payload = _basis_payload(ENGINES[cfg.engine](g))
     _write(payload, cfg.format, out, ("engine", "nu", "total_weight"))
     return 0
 
@@ -199,7 +200,6 @@ def _run_tight(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _run_betti(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     k = load_complex(cfg.input, auto_close=cfg.auto_close)
-    require_valid(k)
     profile = homology_profile(k)
     if cfg.format == "json":
         _write(asdict(profile), "json", out)
@@ -232,14 +232,13 @@ def _run_bench(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             err.write(f"timing {name} {engine_name}: {time.perf_counter() - t0:.4f}s\n")
         agree = len({r.weight_multiset() for r in reports.values()}) == 1
         graph = kind == "graph"
-        rank = cyclomatic_number(instance) if graph else homology_profile(instance).beta1
-        weight = reports["earliest" if graph else "tight"].total_weight
+        ref = reports["earliest" if graph else "tight"]
         verdict = "agree" if agree else "DISAGREE"
-        values = (kind, name, instance.n, instance.m, rank, weight, verdict)
+        values = (kind, name, instance.n, instance.m, len(ref.cycles), ref.total_weight, verdict)
         rows.append(dict(zip(BENCH_FIELDS, values)))
         if not agree:
             dumps = {
-                e: _basis_payload(r, rank) if graph else _homology_payload(r)
+                e: _basis_payload(r) if graph else _homology_payload(r)
                 for e, r in reports.items()
             }
             disagreements.append((name, dumps))
@@ -277,7 +276,7 @@ def _run_oracle(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     else:
         g = load_graph(cfg.input)
         if cfg.mode == "mcb":
-            payload = _basis_payload(oracle.brute_mcb(g), cyclomatic_number(g))
+            payload = _basis_payload(oracle.brute_mcb(g))
         else:
             payload = _tight_payload(oracle.brute_tight_cycles(g))
     _write({"oracle_version": oracle.ORACLE_VERSION, **payload}, "json", out)

@@ -139,15 +139,6 @@ class SpanTracker:
             combo ^= row[1]
         return False
 
-    def reduce(self, bits: int) -> int:
-        """Residual of ``bits`` against the kept vectors; 0 means dependent."""
-        while bits:
-            row = self._rows.get(bits.bit_length() - 1)
-            if row is None:
-                break
-            bits ^= row[0]
-        return bits
-
     def solve(self, bits: int) -> Optional[int]:
         """Combination of the fed vectors equal to ``bits``, or None."""
         if not self._track:

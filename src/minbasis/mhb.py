@@ -33,13 +33,6 @@ class HomologyBasisReport:
         return tuple(sorted(c.base for c in self.cycles))
 
 
-def require_valid(k: SimplicialComplex) -> None:
-    """Raise ``ValueError`` listing every violation of an invalid complex."""
-    violations = k.validate()
-    if violations:
-        raise ValueError("invalid complex: " + "; ".join(violations))
-
-
 def _profile_basis(
     k: SimplicialComplex, g: Graph, cycle_columns: list[Cycle], engine: str
 ) -> HomologyBasisReport:
@@ -67,14 +60,12 @@ def _profile_basis(
 
 def mhb_tight(k: SimplicialComplex) -> HomologyBasisReport:
     """Rank profile of the boundary columns followed by all tight cycles."""
-    require_valid(k)
     g = skeleton(k)
     return _profile_basis(k, g, enumerate_tight_cycles(g).cycles, "tight")
 
 
 def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> HomologyBasisReport:
     """Rank profile of the boundary columns followed by a minimum cycle basis."""
-    require_valid(k)
     try:
         engine = ENGINES[mcb_engine]
     except KeyError:
@@ -96,7 +87,6 @@ def _check_cycle(g: Graph, z: Cycle, name: str) -> None:
 
 def homologous(k: SimplicialComplex, z1: Cycle, z2: Cycle) -> bool:
     """Whether two cycles differ by a sum of triangle boundaries."""
-    require_valid(k)
     g = skeleton(k)
     _check_cycle(g, z1, "z1")
     _check_cycle(g, z2, "z2")

@@ -4,12 +4,12 @@ Simplices are canonical sorted vertex tuples.  Only edges carry weights;
 triangles contribute boundaries.  Dimension-3-or-higher input is
 rejected outright: silently dropping simplices would misreport the total
 simplex count, and only triangles matter for 1-dimensional homology.
+A complex is valid by construction, so nothing downstream checks it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ParseError
 from .gf2 import Gf2Matrix, Gf2Vector, rank
@@ -18,35 +18,49 @@ from .graph import MAX_WEIGHT, Edge, Graph, component_count, parse_ints
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Vertices ``0..n-1``, indexed weighted edges, and triangles."""
+    """Vertices ``0..n-1``, indexed weighted edges, and triangles.
+
+    Construction builds the 1-skeleton once, and ``Graph`` checks the
+    vertex count and the edges.  Duplicate simplices and missing triangle
+    edges raise one ``ValueError("invalid complex: ...")`` naming each in
+    input order, duplicate edges first.
+    """
 
     n: int
     edges: tuple[Edge, ...]
     triangles: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        canon_edges = []
-        for idx, e in enumerate(self.edges):
-            u, v, w = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {idx}: vertex out of range")
-            if u == v:
-                raise ValueError(f"edge {idx}: endpoints must be distinct")
-            if not 0 <= w <= MAX_WEIGHT:
-                raise ValueError(f"edge {idx}: weight out of range")
-            canon_edges.append(Edge(min(u, v), max(u, v), w))
+        g = Graph(self.n, [(min(u, v), max(u, v), w) for u, v, w in self.edges])
+        violations = []
+        ids: dict[tuple[int, int], int] = {}
+        for idx, e in enumerate(g.edges):
+            if (e.u, e.v) in ids:
+                violations.append(f"duplicate edge ({e.u}, {e.v})")
+            else:
+                ids[e.u, e.v] = idx
         canon_tris = []
+        seen_t: set[tuple[int, int, int]] = set()
         for idx, t in enumerate(self.triangles):
-            a, b, c = sorted(t)
+            a, b, c = t = tuple(sorted(t))
             if not 0 <= a < self.n or c >= self.n:
                 raise ValueError(f"triangle {idx}: vertex out of range")
             if a == b or b == c:
                 raise ValueError(f"triangle {idx}: vertices must be distinct")
-            canon_tris.append((a, b, c))
-        object.__setattr__(self, "edges", tuple(canon_edges))
+            if t in seen_t:
+                violations.append(f"duplicate triangle ({a}, {b}, {c})")
+            seen_t.add(t)
+            canon_tris.append(t)
+            for u, v in ((a, b), (a, c), (b, c)):
+                if (u, v) not in ids:
+                    violations.append(f"triangle ({a}, {b}, {c}) is missing edge ({u}, {v})")
+        if violations:
+            raise ValueError("invalid complex: " + "; ".join(violations))
+        object.__setattr__(self, "edges", g.edges)
         object.__setattr__(self, "triangles", tuple(canon_tris))
+        # derived state, outside the dataclass fields so eq and repr ignore it
+        object.__setattr__(self, "_skeleton", g)
+        object.__setattr__(self, "_edge_ids", ids)
 
     @property
     def m(self) -> int:
@@ -60,38 +74,8 @@ class SimplicialComplex:
     def total_simplices(self) -> int:
         return self.n + self.m + self.n2
 
-    @cached_property
-    def _edge_ids(self) -> dict[tuple[int, int], int]:
-        # first occurrence wins; duplicates are caught by validate()
-        ids: dict[tuple[int, int], int] = {}
-        for idx, e in enumerate(self.edges):
-            ids.setdefault((e.u, e.v), idx)
-        return ids
-
     def edge_id(self, u: int, v: int) -> int | None:
         return self._edge_ids.get((min(u, v), max(u, v)))
-
-    def validate(self) -> list[str]:
-        """All closure violations and duplicate simplices; empty means ok."""
-        violations = []
-        seen_e: set[tuple[int, int]] = set()
-        for e in self.edges:
-            key = (e.u, e.v)
-            if key in seen_e:
-                violations.append(f"duplicate edge ({e.u}, {e.v})")
-            seen_e.add(key)
-        seen_t: set[tuple[int, int, int]] = set()
-        for t in self.triangles:
-            if t in seen_t:
-                violations.append(f"duplicate triangle ({t[0]}, {t[1]}, {t[2]})")
-            seen_t.add(t)
-            a, b, c = t
-            for u, v in ((a, b), (a, c), (b, c)):
-                if (u, v) not in seen_e:
-                    violations.append(
-                        f"triangle ({a}, {b}, {c}) is missing edge ({u}, {v})"
-                    )
-        return violations
 
 
 @dataclass(frozen=True)
@@ -105,8 +89,8 @@ class HomologyProfile:
 
 
 def skeleton(k: SimplicialComplex) -> Graph:
-    """The 1-skeleton as a graph sharing edge indices and weights."""
-    return Graph(k.n, [(e.u, e.v, e.w) for e in k.edges])
+    """The 1-skeleton built at construction, sharing edge indices and weights."""
+    return k._skeleton
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> Gf2Matrix:
@@ -124,13 +108,7 @@ def boundary_matrix(k: SimplicialComplex, p: int) -> Gf2Matrix:
             a, b, c = t
             bits = 0
             for u, v in ((a, b), (a, c), (b, c)):
-                e_idx = k.edge_id(u, v)
-                if e_idx is None:
-                    raise ValueError(
-                        f"triangle ({a}, {b}, {c}) is missing edge ({u}, {v}); "
-                        "run validate()"
-                    )
-                bits |= 1 << e_idx
+                bits |= 1 << k.edge_id(u, v)
             cols.append(Gf2Vector(k.m, bits))
         return Gf2Matrix(k.m, cols)
     raise ValueError(f"p must be 1 or 2, got {p}")
@@ -151,7 +129,12 @@ def homology_profile(k: SimplicialComplex) -> HomologyProfile:
 # order, after all explicit edges.
 
 def parse_complex(text: str, auto_close: bool = False) -> SimplicialComplex:
-    """Parse the complex text format; errors carry 1-based line numbers."""
+    """Parse the complex text format.
+
+    Format errors raise ``ParseError`` with a 1-based line number; a
+    duplicate simplex or a missing triangle edge raises the constructor's
+    ``ValueError("invalid complex: ...")``, which names simplices, not lines.
+    """
     n = None
     edges: list[tuple[int, int, int]] = []
     triangles: list[tuple[int, int, int]] = []

@@ -180,6 +180,26 @@ def test_closure_violation_and_auto_close(tmp_path):
     assert code == 0 and out == "beta0=1 beta1=0\n"
 
 
+@pytest.mark.parametrize("argv", [["mhb"], ["betti"], ["oracle", "mhb"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "text, violations",
+    [
+        ("complex 3\ns 1 0 1 5\ns 1 1 0 2\n", "duplicate edge (0, 1)"),
+        (
+            "complex 3\ns 1 0 1 5\ns 2 0 1 2\n",
+            "triangle (0, 1, 2) is missing edge (0, 2); "
+            "triangle (0, 1, 2) is missing edge (1, 2)",
+        ),
+    ],
+    ids=["duplicate-edge", "open-triangle"],
+)
+def test_invalid_complex_exit_1(tmp_path, argv, text, violations):
+    path = tmp_path / "invalid.scx"
+    path.write_text(text)
+    code, out, err = run_cli(argv + [str(path)])
+    assert (code, out, err) == (1, "", f"error: invalid complex: {violations}\n")
+
+
 def test_internal_error_exit_2(k4_file, monkeypatch):
     def broken(g, tight=None):
         raise cli.InternalInvariantError("synthetic failure")

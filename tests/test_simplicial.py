@@ -25,7 +25,7 @@ from minbasis.graph import cyclomatic_number
 
 
 def test_constructor_canonicalizes_and_validates():
-    k = SimplicialComplex(3, (Edge(1, 0, 2),), ((2, 0, 1),))
+    k = SimplicialComplex(3, (Edge(1, 0, 2), Edge(2, 1, 1), Edge(0, 2, 1)), ((2, 0, 1),))
     assert k.edges[0] == Edge(0, 1, 2)
     assert k.triangles[0] == (0, 1, 2)
     with pytest.raises(ValueError):
@@ -36,21 +36,25 @@ def test_constructor_canonicalizes_and_validates():
         SimplicialComplex(3, (), ((0, 1, 1),))
 
 
-def test_validate_ok_and_violations():
-    assert filled_triangle().validate() == []
-    missing = SimplicialComplex(
-        3, (Edge(0, 1, 1), Edge(1, 2, 1)), ((0, 1, 2),)
-    )
-    violations = missing.validate()
-    assert violations == ["triangle (0, 1, 2) is missing edge (0, 2)"]
-    dup = SimplicialComplex(3, (Edge(0, 1, 1), Edge(0, 1, 4)), ())
-    assert dup.validate() == ["duplicate edge (0, 1)"]
-    dup_t = SimplicialComplex(
-        3,
-        (Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 1)),
-        ((0, 1, 2), (2, 1, 0)),
-    )
-    assert dup_t.validate() == ["duplicate triangle (0, 1, 2)"]
+def test_construction_rejects_invalid_complexes():
+    filled_triangle()  # a closed complex constructs
+    triangle = (Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 1))
+    for edges, tris, message in (
+        (triangle[:2], ((0, 1, 2),), "triangle (0, 1, 2) is missing edge (0, 2)"),
+        ((Edge(0, 1, 1), Edge(0, 1, 4)), (), "duplicate edge (0, 1)"),
+        (triangle, ((0, 1, 2), (2, 1, 0)), "duplicate triangle (0, 1, 2)"),
+        # every violation, joined in order: duplicate edges first, then
+        # per triangle its duplication and its missing edges
+        (
+            (Edge(1, 2, 1), Edge(0, 1, 1), Edge(2, 1, 3)),
+            ((2, 1, 0), (0, 1, 2)),
+            "duplicate edge (1, 2); triangle (0, 1, 2) is missing edge (0, 2); "
+            "duplicate triangle (0, 1, 2); triangle (0, 1, 2) is missing edge (0, 2)",
+        ),
+    ):
+        with pytest.raises(ValueError) as exc:
+            SimplicialComplex(3, edges, tris)
+        assert str(exc.value) == "invalid complex: " + message
 
 
 def test_boundary_matrix_filled_triangle():
@@ -165,13 +169,13 @@ def test_parse_rejects_non_ascii_integer_fields(field):
 
 def test_auto_close_inserts_missing_edges():
     text = "complex 3\ns 1 0 1 5\ns 2 0 1 2\n"
-    with pytest.raises(ValueError):
-        # closure violations surface in validate(); parse itself succeeds
-        k = parse_complex(text)
-        if k.validate():
-            raise ValueError("invalid")
+    with pytest.raises(ValueError) as exc:
+        parse_complex(text)
+    assert str(exc.value) == (
+        "invalid complex: triangle (0, 1, 2) is missing edge (0, 2); "
+        "triangle (0, 1, 2) is missing edge (1, 2)"
+    )
     k = parse_complex(text, auto_close=True)
-    assert k.validate() == []
     assert k.m == 3
     # inserted edges keep the explicit edge first and get weight 1
     assert k.edges[0] == Edge(0, 1, 5)
