@@ -26,7 +26,6 @@ from .graph import (
     Graph,
     PerturbedWeight,
     apsp,
-    cycle_from_edges,
     cycle_from_mask,
     cyclomatic_number,
     fundamental_cycles,
@@ -81,7 +80,6 @@ __all__ = [
     "brute_mhb",
     "brute_tight_cycles",
     "column_rank_profile",
-    "cycle_from_edges",
     "cycle_from_mask",
     "cyclomatic_number",
     "enumerate_tight_cycles",

@@ -29,20 +29,6 @@ class Gf2Vector:
         if self.bits < 0 or self.bits >> self.length:
             raise ValueError("bits beyond `length` must be zero")
 
-    @classmethod
-    def from_indices(cls, length: int, indices: Iterable[int]) -> "Gf2Vector":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < length:
-                raise ValueError(f"index {i} out of range for length {length}")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
     def indices(self) -> tuple[int, ...]:
         """Positions of the set bits, ascending."""
         out = []
@@ -52,12 +38,6 @@ class Gf2Vector:
             out.append(low.bit_length() - 1)
             b ^= low
         return tuple(out)
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
 
 def inner_product(u: Gf2Vector, v: Gf2Vector) -> int:
@@ -88,13 +68,6 @@ class Gf2Matrix:
     @classmethod
     def from_bit_columns(cls, nrows: int, bit_columns: Iterable[int]) -> "Gf2Matrix":
         return cls(nrows, [Gf2Vector(nrows, b) for b in bit_columns])
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls(n, [Gf2Vector(n, 1 << i) for i in range(n)])
-
-    def to_rows(self) -> list[list[int]]:
-        return [[c.get(i) for c in self.columns] for i in range(self.nrows)]
 
 
 @dataclass(frozen=True)

@@ -103,13 +103,13 @@ class Cycle:
     touched vertex has degree 2 and the edges are connected.  ``mask``
     has bit i set for edge i of a graph with ``length`` edges and
     ``base`` is the weight sum of those edges; the tie-broken weight is
-    ``(base, mask)``.
+    ``(base, mask)``.  ``cycle_from_mask`` builds one and checks the
+    degrees; the constructor trusts its arguments.
     """
 
     mask: int
     base: int
     length: int
-    vertex_count: int
 
     @property
     def edge_set(self) -> Gf2Vector:
@@ -143,18 +143,7 @@ def cycle_from_mask(g: Graph, mask: int) -> Cycle:
     for v, d in degree.items():
         if d & 1:
             raise ValueError(f"vertex {v} has odd degree; not a cycle-space member")
-    return Cycle(mask, base, g.m, len(degree))
-
-
-def cycle_from_edges(g: Graph, indices: Iterable[int]) -> Cycle:
-    mask = 0
-    for i in indices:
-        if not 0 <= i < g.m:
-            raise ValueError(f"edge index {i} out of range")
-        if mask >> i & 1:
-            raise ValueError(f"edge index {i} repeated")
-        mask |= 1 << i
-    return cycle_from_mask(g, mask)
+    return Cycle(mask, base, g.m)
 
 
 Adjacency = list[list[tuple[int, int, int]]]
@@ -231,10 +220,6 @@ def component_count(g: Graph) -> int:
     return g.n - len(spanning_forest(g)[0])
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or component_count(g) == 1
-
-
 def cyclomatic_number(g: Graph) -> int:
     """Dimension of the cycle space: m - n + (number of components)."""
     return g.m - g.n + component_count(g)
@@ -263,12 +248,8 @@ def spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
 
 
 def _forest_path_masks(g: Graph, tree_edges: list[int]) -> list[int]:
-    """Per-vertex edge mask of the forest path from an arbitrary component root."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e_idx in tree_edges:
-        e = g.edges[e_idx]
-        adj[e.u].append((e.v, e_idx))
-        adj[e.v].append((e.u, e_idx))
+    """Per-vertex edge mask of the forest path from its component's lowest vertex."""
+    in_tree = set(tree_edges)
     mask = [0] * g.n
     seen = [False] * g.n
     for start in range(g.n):
@@ -278,7 +259,10 @@ def _forest_path_masks(g: Graph, tree_edges: list[int]) -> list[int]:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u, e_idx in adj[v]:
+            for e_idx in g.incident(v):
+                if e_idx not in in_tree:
+                    continue
+                u = g.other_end(e_idx, v)
                 if not seen[u]:
                     seen[u] = True
                     mask[u] = mask[v] | (1 << e_idx)

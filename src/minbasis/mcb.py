@@ -67,7 +67,7 @@ def min_weight_odd_cycle(tcs: TightCycleSet, s: Gf2Vector) -> Cycle:
     cycle exists because the tight cycles span the cycle space; failure
     to find one therefore signals a broken invariant, not bad input.
     """
-    if s.is_zero():
+    if not s.bits:
         raise ValueError("support vector must be nonzero")
     _check_lengths(tcs, s.length)
     for c in tcs.cycles:

@@ -146,6 +146,7 @@ def brute_tight_cycles(
     g: Graph, budget: OracleBudget = DEFAULT_BUDGET
 ) -> TightCycleSet:
     """Exhaustive enumeration filtered by the pairwise tightness definition."""
+    _check_rank_budget(g, budget)
     walks = _simple_cycle_walks(g, budget)
     table = _min_path_table(g)
     tight: list[Cycle] = []

@@ -1,10 +1,11 @@
 """Simplicial complexes of dimension <= 2 with weighted edges.
 
 Simplices are canonical sorted vertex tuples.  Only edges carry weights;
-triangles contribute boundaries.  Dimension-3-or-higher input is
-rejected outright: silently dropping simplices would misreport the total
-simplex count, and only triangles matter for 1-dimensional homology.
-A complex is valid by construction, so nothing downstream checks it again.
+triangles contribute boundaries.  Only triangles matter for 1-dimensional
+homology, so dimension-3-or-higher input is rejected outright rather than
+silently dropped: the file would describe a different complex from the
+one analysed.  A complex is valid by construction, so nothing downstream
+checks it again.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .gf2 import Gf2Matrix, Gf2Vector, rank
+from .gf2 import Gf2Matrix, rank
 from .graph import MAX_WEIGHT, Edge, Graph, component_count, parse_ints
 
 
@@ -23,7 +24,9 @@ class SimplicialComplex:
     Construction builds the 1-skeleton once, and ``Graph`` checks the
     vertex count and the edges.  Duplicate simplices and missing triangle
     edges raise one ``ValueError("invalid complex: ...")`` naming each in
-    input order, duplicate edges first.
+    input order, duplicate edges first.  The same pass, which looks up
+    each triangle's three edges, keeps the triangle's boundary as an edge
+    bit mask for ``boundary_matrix``.
     """
 
     n: int
@@ -40,6 +43,7 @@ class SimplicialComplex:
             else:
                 ids[e.u, e.v] = idx
         canon_tris = []
+        masks = []
         seen_t: set[tuple[int, int, int]] = set()
         for idx, t in enumerate(self.triangles):
             a, b, c = t = tuple(sorted(t))
@@ -51,16 +55,21 @@ class SimplicialComplex:
                 violations.append(f"duplicate triangle ({a}, {b}, {c})")
             seen_t.add(t)
             canon_tris.append(t)
+            bits = 0
             for u, v in ((a, b), (a, c), (b, c)):
-                if (u, v) not in ids:
+                e_idx = ids.get((u, v))
+                if e_idx is None:
                     violations.append(f"triangle ({a}, {b}, {c}) is missing edge ({u}, {v})")
+                else:
+                    bits |= 1 << e_idx
+            masks.append(bits)
         if violations:
             raise ValueError("invalid complex: " + "; ".join(violations))
         object.__setattr__(self, "edges", g.edges)
         object.__setattr__(self, "triangles", tuple(canon_tris))
         # derived state, outside the dataclass fields so eq and repr ignore it
         object.__setattr__(self, "_skeleton", g)
-        object.__setattr__(self, "_edge_ids", ids)
+        object.__setattr__(self, "_boundary_masks", tuple(masks))
 
     @property
     def m(self) -> int:
@@ -69,13 +78,6 @@ class SimplicialComplex:
     @property
     def n2(self) -> int:
         return len(self.triangles)
-
-    @property
-    def total_simplices(self) -> int:
-        return self.n + self.m + self.n2
-
-    def edge_id(self, u: int, v: int) -> int | None:
-        return self._edge_ids.get((min(u, v), max(u, v)))
 
 
 @dataclass(frozen=True)
@@ -94,24 +96,15 @@ def skeleton(k: SimplicialComplex) -> Graph:
 
 
 def boundary_matrix(k: SimplicialComplex, p: int) -> Gf2Matrix:
-    """Boundary matrix whose column t is the face set of simplex t.
+    """The triangle boundary: edges x triangles, column t the three edges of triangle t.
 
-    p=1: vertices x edges, ones at the two endpoints of each edge.
-    p=2: edges x triangles, ones at the three edges of each triangle.
+    The columns are the masks built at construction.  ``p`` names the
+    dimension of the simplices; 2 is the only one, and any other p raises
+    ``ValueError``.
     """
-    if p == 1:
-        cols = [Gf2Vector(k.n, (1 << e.u) | (1 << e.v)) for e in k.edges]
-        return Gf2Matrix(k.n, cols)
-    if p == 2:
-        cols = []
-        for t in k.triangles:
-            a, b, c = t
-            bits = 0
-            for u, v in ((a, b), (a, c), (b, c)):
-                bits |= 1 << k.edge_id(u, v)
-            cols.append(Gf2Vector(k.m, bits))
-        return Gf2Matrix(k.m, cols)
-    raise ValueError(f"p must be 1 or 2, got {p}")
+    if p != 2:
+        raise ValueError(f"p must be 2, got {p}")
+    return Gf2Matrix.from_bit_columns(k.m, k._boundary_masks)
 
 
 def homology_profile(k: SimplicialComplex) -> HomologyProfile:

@@ -113,7 +113,7 @@ def _count_candidates(
 def _sorted_cycles(g: Graph, masks: Iterable[int]) -> list[Cycle]:
     """Cycles of simple edge sets, sorted by tie-broken weight (base, mask)."""
     return [
-        Cycle(mask, base, g.m, mask.bit_count())
+        Cycle(mask, base, g.m)
         for base, mask in sorted((g.mask_weight(mask), mask) for mask in masks)
     ]
 

@@ -9,6 +9,11 @@ import itertools
 
 # -- dense GF(2) -------------------------------------------------------------
 
+def rows(m):
+    """Dense 0/1 rows of a column-major ``Gf2Matrix``."""
+    return [[c.bits >> i & 1 for c in m.columns] for i in range(m.nrows)]
+
+
 def dense_rank(rows):
     """Rank of a dense 0/1 row-major matrix by textbook elimination."""
     work = [list(r) for r in rows]

@@ -12,6 +12,7 @@ import pytest
 import minbasis
 from minbasis import cli
 from minbasis.fixtures import (
+    complete_graph,
     k4,
     path_graph,
     random_graph_nm,
@@ -316,6 +317,15 @@ def test_oracle_budget_refusal_exit_1(tmp_path):
     save_graph(path_graph(14), path)
     code, _, err = run_cli(["oracle", "tight", str(path)])
     assert code == 1 and "budget" in err
+
+
+def test_oracle_tight_refuses_cycle_rank_over_budget(tmp_path):
+    # K9 has 9 vertices, inside the vertex budget, but cycle rank 28
+    path = tmp_path / "k9.grf"
+    save_graph(complete_graph(9), path)
+    code, out, err = run_cli(["oracle", "tight", str(path)])
+    assert code == 1 and out == ""
+    assert "cycle rank 28 exceeds oracle budget 16" in err
 
 
 def test_oracle_hidden_from_help():

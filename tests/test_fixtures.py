@@ -9,7 +9,7 @@ from minbasis.fixtures import (
     random_connected_graph,
     random_graph_nm,
 )
-from minbasis.graph import cyclomatic_number, is_connected, load_graph
+from minbasis.graph import component_count, cyclomatic_number, load_graph
 from minbasis.oracle import brute_mcb, brute_mhb
 from minbasis.simplicial import homology_profile, load_complex
 
@@ -91,7 +91,7 @@ def test_random_generators_respect_bounds():
     for _ in range(50):
         g = random_connected_graph(rng)
         assert 3 <= g.n <= 10
-        assert is_connected(g)
+        assert component_count(g) == 1
         assert all(1 <= e.w <= 8 for e in g.edges)
     for _ in range(30):
         k = random_complex(rng)  # raises on an invalid complex
@@ -101,6 +101,6 @@ def test_random_generators_respect_bounds():
 def test_random_graph_nm_exact_counts():
     rng = random.Random(5)
     g = random_graph_nm(rng, 20, 40)
-    assert g.n == 20 and g.m == 40 and is_connected(g)
+    assert g.n == 20 and g.m == 40 and component_count(g) == 1
     pairs = {(e.u, e.v) for e in g.edges}
     assert len(pairs) == 40  # simple graph

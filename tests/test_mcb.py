@@ -67,7 +67,7 @@ def test_min_weight_odd_cycle_examples():
     g = c5()
     tcs = enumerate_tight_cycles(g)
     tree_edges, _ = spanning_forest(g)
-    s = Gf2Vector.from_indices(g.m, [tree_edges[0]])
+    s = Gf2Vector(g.m, 1 << tree_edges[0])
     assert min_weight_odd_cycle(tcs, s).edge_count() == 5
     with pytest.raises(ValueError):
         min_weight_odd_cycle(tcs, Gf2Vector(g.m, 0))
@@ -99,7 +99,7 @@ def test_min_weight_odd_cycle_infeasible_support():
     # triangle plus a pendant bridge; no cycle touches the bridge edge
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)])
     tcs = enumerate_tight_cycles(g)
-    s = Gf2Vector.from_indices(g.m, [3])
+    s = Gf2Vector(g.m, 1 << 3)
     with pytest.raises(InfeasibleSupportError):
         min_weight_odd_cycle(tcs, s)
 

@@ -181,7 +181,7 @@ def test_homologous_rejects_non_cycles():
     with pytest.raises(ValueError, match="odd degree"):
         homologous(k, z, bad)
     with pytest.raises(ValueError, match="z2: edge mask out of range"):
-        homologous(k, z, Cycle(0b1111, 3, k.m, 3))
+        homologous(k, z, Cycle(0b1111, 3, k.m))
 
 
 def test_mhb_of_disconnected_complex():

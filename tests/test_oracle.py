@@ -45,6 +45,8 @@ def test_budget_refusals():
         all_cycle_vectors(big)
     with pytest.raises(BudgetExceededError):
         brute_mcb(big)
+    with pytest.raises(BudgetExceededError, match="cycle rank 17 exceeds oracle budget 16"):
+        brute_tight_cycles(big)
     wide = path_graph(13)
     with pytest.raises(BudgetExceededError):
         brute_tight_cycles(wide)

@@ -18,7 +18,7 @@ from minbasis.graph import (
     MAX_WEIGHT,
     Graph,
     apsp,
-    cycle_from_edges,
+    cycle_from_mask,
     cyclomatic_number,
     shortest_path_keys,
     weighted_adjacency,
@@ -73,7 +73,8 @@ def test_candidates_are_sorted_and_simple():
     keys = [(c.weight.base, c.weight.tie) for c in cands]
     assert keys == sorted(keys)
     for c in cands:
-        assert c.vertex_count == c.edge_count()
+        vertices = {x for i in c.edge_indices() for x in g.edges[i][:2]}
+        assert len(vertices) == c.edge_count()
 
 
 def _candidates_from_rows(g, rows):
@@ -99,8 +100,8 @@ def test_candidates_match_key_rows():
 def test_is_tight_triangle_in_k4():
     g = k4()
     pairs = apsp(g)
-    tri = cycle_from_edges(
-        g, [i for i, e in enumerate(g.edges) if {e.u, e.v} <= {0, 1, 2}]
+    tri = cycle_from_mask(
+        g, sum(1 << i for i, e in enumerate(g.edges) if {e.u, e.v} <= {0, 1, 2})
     )
     assert is_tight(tri, pairs)
 
@@ -108,13 +109,13 @@ def test_is_tight_triangle_in_k4():
 def test_is_tight_rejects_four_cycle_in_k4():
     g = k4()
     pairs = apsp(g)
-    quad = cycle_from_edges(
+    quad = cycle_from_mask(
         g,
-        [
-            i
+        sum(
+            1 << i
             for i, e in enumerate(g.edges)
             if {e.u, e.v} in ({0, 1}, {1, 2}, {2, 3}, {0, 3})
-        ],
+        ),
     )
     assert not is_tight(quad, pairs)
 
@@ -122,13 +123,12 @@ def test_is_tight_rejects_four_cycle_in_k4():
 def test_is_tight_c5_whole_cycle():
     g = c5()
     pairs = apsp(g)
-    whole = cycle_from_edges(g, range(5))
+    whole = cycle_from_mask(g, 0b11111)
     assert is_tight(whole, pairs)
 
 
 def test_is_tight_requires_elementary_cycle():
     from minbasis.fixtures import two_triangles
-    from minbasis.graph import cycle_from_mask
 
     g = two_triangles()
     both = cycle_from_mask(g, 0b111111)
