@@ -16,7 +16,6 @@ from .gf2 import (
     Gf2Vector,
     RankProfile,
     column_rank_profile,
-    in_span,
     inner_product,
     rank,
 )
@@ -35,13 +34,7 @@ from .graph import (
 )
 from .mcb import BasisReport, mcb_depina, mcb_earliest, mcb_kavitha, min_weight_odd_cycle
 from .mhb import HomologyBasisReport, homologous, mhb_tight, mhb_via_mcb
-from .oracle import (
-    OracleBudget,
-    all_cycle_vectors,
-    brute_mcb,
-    brute_mhb,
-    brute_tight_cycles,
-)
+from .oracle import all_cycle_vectors, brute_mcb, brute_mhb, brute_tight_cycles
 from .simplicial import (
     HomologyProfile,
     SimplicialComplex,
@@ -67,7 +60,6 @@ __all__ = [
     "HomologyProfile",
     "InfeasibleSupportError",
     "InternalInvariantError",
-    "OracleBudget",
     "ParseError",
     "PerturbedWeight",
     "RankProfile",
@@ -87,7 +79,6 @@ __all__ = [
     "homologous",
     "homology_profile",
     "horton_candidates",
-    "in_span",
     "inner_product",
     "is_tight",
     "load_complex",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
+from typing import Callable
 
 from . import oracle
 from .graph import Edge, Graph, cyclomatic_number, format_graph
@@ -103,6 +104,25 @@ def annulus() -> SimplicialComplex:
 
 # -- seeded random instances ------------------------------------------------
 
+def _tree_plus_edges(
+    rng: random.Random, n: int, extra: Callable[[int], int], weights: tuple[int, int]
+) -> Graph:
+    """Random spanning tree plus ``extra(free)`` distinct sampled edges,
+    where ``free`` counts the vertex pairs the tree leaves unused; the
+    edge list is shuffled to vary edge indexing, not just topology."""
+    edges: list[tuple[int, int, int]] = []
+    used: set[tuple[int, int]] = set()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.append((u, v, rng.randint(*weights)))
+        used.add((u, v))
+    avail = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in used]
+    for u, v in rng.sample(avail, extra(len(avail))):
+        edges.append((u, v, rng.randint(*weights)))
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
 def random_connected_graph(
     rng: random.Random,
     min_n: int = 3,
@@ -110,22 +130,12 @@ def random_connected_graph(
     max_extra: int = 6,
     weights: tuple[int, int] = (1, 8),
 ) -> Graph:
-    """Random spanning tree plus distinct extra edges; always connected."""
+    """Random spanning tree plus up to ``max_extra`` distinct extra edges;
+    always connected."""
     n = rng.randint(min_n, max_n)
-    edges: list[tuple[int, int, int]] = []
-    used: set[tuple[int, int]] = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.append((u, v, rng.randint(*weights)))
-        used.add((u, v))
-    avail = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in used
-    ]
-    extra = rng.randint(0, min(max_extra, len(avail)))
-    for u, v in rng.sample(avail, extra):
-        edges.append((u, v, rng.randint(*weights)))
-    rng.shuffle(edges)  # vary edge indexing, not just topology
-    return Graph(n, edges)
+    return _tree_plus_edges(
+        rng, n, lambda free: rng.randint(0, min(max_extra, free)), weights
+    )
 
 
 def random_graph_nm(
@@ -134,17 +144,7 @@ def random_graph_nm(
     """Connected random graph with exactly n vertices and m simple edges."""
     if m < n - 1 or m > n * (n - 1) // 2:
         raise ValueError("edge count incompatible with a connected simple graph")
-    edges: list[tuple[int, int, int]] = []
-    used: set[tuple[int, int]] = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.append((u, v, rng.randint(*weights)))
-        used.add((u, v))
-    avail = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in used]
-    for u, v in rng.sample(avail, m - (n - 1)):
-        edges.append((u, v, rng.randint(*weights)))
-    rng.shuffle(edges)
-    return Graph(n, edges)
+    return _tree_plus_edges(rng, n, lambda free: m - (n - 1), weights)
 
 
 def random_complex(

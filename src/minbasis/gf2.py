@@ -10,7 +10,7 @@ because column rank profiles are defined over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 @dataclass
@@ -83,16 +83,13 @@ class RankProfile:
 class SpanTracker:
     """Online Gaussian elimination over bit-packed vectors.
 
-    Vectors are fed one at a time; each is kept when independent of the
-    vectors kept so far.  With ``track_coefficients`` every reduced pivot
-    column remembers which input vectors it combines, so later vectors
-    can be expressed over the inputs via :meth:`solve`.
+    Vectors are fed one at a time; each is kept when it is independent
+    of the vectors kept so far, so a vector it does not keep lies in
+    their span.
     """
 
-    def __init__(self, track_coefficients: bool = False):
-        self._rows: dict[int, tuple[int, int]] = {}  # pivot bit -> (reduced, combo)
-        self._track = track_coefficients
-        self._added = 0
+    def __init__(self):
+        self._rows: dict[int, int] = {}  # pivot bit -> reduced vector
 
     @property
     def rank(self) -> int:
@@ -100,30 +97,14 @@ class SpanTracker:
 
     def add(self, bits: int) -> bool:
         """Feed the next vector; True when it was independent and kept."""
-        combo = (1 << self._added) if self._track else 0
-        self._added += 1
         while bits:
             top = bits.bit_length() - 1
             row = self._rows.get(top)
             if row is None:
-                self._rows[top] = (bits, combo)
+                self._rows[top] = bits
                 return True
-            bits ^= row[0]
-            combo ^= row[1]
+            bits ^= row
         return False
-
-    def solve(self, bits: int) -> Optional[int]:
-        """Combination of the fed vectors equal to ``bits``, or None."""
-        if not self._track:
-            raise ValueError("tracker built without coefficient tracking")
-        combo = 0
-        while bits:
-            row = self._rows.get(bits.bit_length() - 1)
-            if row is None:
-                return None
-            bits ^= row[0]
-            combo ^= row[1]
-        return combo
 
 
 def column_rank_profile(m: Gf2Matrix) -> RankProfile:
@@ -142,19 +123,3 @@ def rank(m: Gf2Matrix) -> int:
     """Dimension of the column span."""
     return len(column_rank_profile(m))
 
-
-def in_span(basis: Gf2Matrix, v: Gf2Vector) -> Optional[Gf2Vector]:
-    """Coefficients c with basis @ c == v, or None when v is outside the span.
-
-    ``basis`` may contain dependent columns; any valid coefficient vector
-    is returned.
-    """
-    if v.length != basis.nrows:
-        raise ValueError(f"dimension mismatch: {v.length} != {basis.nrows}")
-    tracker = SpanTracker(track_coefficients=True)
-    for col in basis.columns:
-        tracker.add(col.bits)
-    combo = tracker.solve(v.bits)
-    if combo is None:
-        return None
-    return Gf2Vector(basis.ncols, combo)

@@ -247,10 +247,13 @@ def spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
     return tree, nontree
 
 
-def _forest_path_masks(g: Graph, tree_edges: list[int]) -> list[int]:
-    """Per-vertex edge mask of the forest path from its component's lowest vertex."""
-    in_tree = set(tree_edges)
-    mask = [0] * g.n
+def _forest_parents(g: Graph, nontree: list[int]) -> tuple[list[int], list[int]]:
+    """Per-vertex parent edge and depth in the forest of the edges not in
+    ``nontree``, rooted at each component's lowest vertex; a root's
+    parent edge is -1."""
+    off_tree = set(nontree)
+    parent = [-1] * g.n
+    depth = [0] * g.n
     seen = [False] * g.n
     for start in range(g.n):
         if seen[start]:
@@ -260,29 +263,37 @@ def _forest_path_masks(g: Graph, tree_edges: list[int]) -> list[int]:
         while stack:
             v = stack.pop()
             for e_idx in g.incident(v):
-                if e_idx not in in_tree:
+                if e_idx in off_tree:
                     continue
                 u = g.other_end(e_idx, v)
                 if not seen[u]:
                     seen[u] = True
-                    mask[u] = mask[v] | (1 << e_idx)
+                    parent[u] = e_idx
+                    depth[u] = depth[v] + 1
                     stack.append(u)
-    return mask
+    return parent, depth
 
 
 def fundamental_cycles(g: Graph) -> list[Cycle]:
     """One cycle per non-tree edge of the index-order spanning forest.
 
     The cycle of non-tree edge e is e plus the forest path between its
-    endpoints; together they form a basis of the cycle space.
+    endpoints; together they form a basis of the cycle space.  The path
+    is walked up from both endpoints to their meeting point, which keeps
+    memory linear in the graph size.
     """
-    tree, nontree = spanning_forest(g)
-    pmask = _forest_path_masks(g, tree)
+    nontree = spanning_forest(g)[1]
+    parent, depth = _forest_parents(g, nontree)
     out = []
     for e_idx in nontree:
         e = g.edges[e_idx]
-        # XOR of the two root paths leaves exactly the tree path u..v.
-        out.append(cycle_from_mask(g, pmask[e.u] ^ pmask[e.v] | (1 << e_idx)))
+        u, v, mask = e.u, e.v, 1 << e_idx
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            mask |= 1 << parent[u]
+            u = g.other_end(parent[u], u)
+        out.append(cycle_from_mask(g, mask))
     return out
 
 

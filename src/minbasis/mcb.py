@@ -8,7 +8,8 @@ Three interchangeable engines, all exact and deterministic:
   tight cycle with odd inner product against the current support vector
   and re-orthogonalize the rest one by one.
 * ``kavitha``   - same invariants as ``depina`` but the support vectors
-  are re-orthogonalized in bulk by a divide-and-conquer block update.
+  are re-orthogonalized in bulk by a divide-and-conquer block update,
+  which solves its unitriangular block by substitution.
 
 ``depina`` and ``kavitha`` share one core: the setup, the pick and the
 report with its certificate; each supplies only its update.
@@ -202,19 +203,19 @@ def _kavitha_update(
                 bits ^= low
             return row
 
-        a = SpanTracker(track_coefficients=True)
-        for j in range(lo, q + 1):
-            a.add(block_row(j))
+        # column c has bit c set and no lower bit, so clearing a row from
+        # its lowest set bit up solves the block by substitution
+        cols = [block_row(j) for j in range(lo, q + 1)]
         for j in range(q + 1, u + 1):
-            w = a.solve(block_row(j))
-            if w is None:
-                raise InternalInvariantError("block inner-product matrix is singular")
-            while w:
-                low = w & -w
-                k = lo + low.bit_length() - 1
-                support[j] ^= support[k]
-                parity[j] ^= parity[k]
-                w ^= low
+            row = block_row(j)
+            while row:
+                low = row & -row
+                c = low.bit_length() - 1
+                if not cols[c] & low:
+                    raise InternalInvariantError("block inner-product matrix is singular")
+                row ^= cols[c]
+                support[j] ^= support[lo + c]
+                parity[j] ^= parity[lo + c]
         solve(q + 1, u)
 
     if support:
@@ -230,9 +231,11 @@ def mcb_kavitha(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     vectors combined by W = A^-1 B zeroes all the inner products at
     once.  Row r of a vector's column is one bit of its parity row,
     gathered through a selector of the left half's picks, so the block
-    takes no popcount.  A is unitriangular by the invariants, so it is
-    invertible; W comes column by column from one elimination of A's
-    columns, and a column it cannot solve means a broken invariant and
+    takes no popcount.  A is unitriangular by the invariants: S_{lo+c} is
+    odd against its own pick and orthogonal to the earlier ones, so
+    column c of A has bit c set and no lower bit.  Each column of W
+    therefore comes by substitution, clearing B's column from its lowest
+    set bit up; a missing diagonal bit means a broken invariant and
     surfaces as an error.
     """
     return _support_basis("kavitha", g, tight, _kavitha_update)

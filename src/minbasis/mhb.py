@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .gf2 import Gf2Vector, SpanTracker, in_span
+from .gf2 import SpanTracker
 from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number
 from .mcb import ENGINES, earliest_cycles
 from .simplicial import SimplicialComplex, boundary_matrix, skeleton
@@ -90,5 +90,7 @@ def homologous(k: SimplicialComplex, z1: Cycle, z2: Cycle) -> bool:
     g = skeleton(k)
     _check_cycle(g, z1, "z1")
     _check_cycle(g, z2, "z2")
-    diff = Gf2Vector(k.m, z1.mask ^ z2.mask)
-    return in_span(boundary_matrix(k, 2), diff) is not None
+    tracker = SpanTracker()
+    for col in boundary_matrix(k, 2).columns:
+        tracker.add(col.bits)
+    return not tracker.add(z1.mask ^ z2.mask)

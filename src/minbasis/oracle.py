@@ -5,12 +5,11 @@ results can serve as an independent check of the production engines:
 cycle vectors come from all combinations of fundamental cycles, shortest
 paths from enumerating every simple path, tightness from the raw
 pairwise definition, and bases from weight-sorted greedy selection.
-Budgets refuse instances that would blow up instead of hanging.
+The budgets ``MAX_CYCLE_RANK`` and ``MAX_VERTICES`` refuse instances
+that would blow up instead of hanging.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InternalInvariantError
 from .gf2 import SpanTracker
@@ -22,28 +21,20 @@ from .tight import TightCycleSet
 
 ORACLE_VERSION = 1
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_cycle_rank: int = 16
-    max_vertices: int = 12
+MAX_CYCLE_RANK = 16  # all 2^nu - 1 cycle vectors are listed
+MAX_VERTICES = 12  # every simple path and cycle is walked
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
-def _check_rank_budget(g: Graph, budget: OracleBudget) -> int:
+def _check_rank_budget(g: Graph) -> int:
     nu = cyclomatic_number(g)
-    if nu > budget.max_cycle_rank:
-        raise BudgetExceededError(
-            f"cycle rank {nu} exceeds oracle budget {budget.max_cycle_rank}"
-        )
+    if nu > MAX_CYCLE_RANK:
+        raise BudgetExceededError(f"cycle rank {nu} exceeds oracle budget {MAX_CYCLE_RANK}")
     return nu
 
 
-def all_cycle_vectors(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> list[Cycle]:
+def all_cycle_vectors(g: Graph) -> list[Cycle]:
     """Every nonzero cycle-space vector (2^nu - 1 of them)."""
-    nu = _check_rank_budget(g, budget)
+    nu = _check_rank_budget(g)
     fund = [c.mask for c in fundamental_cycles(g)]
     masks = [0] * (1 << nu)
     out: list[Cycle] = []
@@ -54,10 +45,10 @@ def all_cycle_vectors(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> list[C
     return out
 
 
-def brute_mcb(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> BasisReport:
+def brute_mcb(g: Graph) -> BasisReport:
     """Greedy minimum basis over the full cycle space, sorted by weight."""
-    nu = _check_rank_budget(g, budget)
-    vectors = sorted(all_cycle_vectors(g, budget), key=lambda c: c.weight)
+    nu = _check_rank_budget(g)
+    vectors = sorted(all_cycle_vectors(g), key=lambda c: c.weight)
     tracker = SpanTracker()
     chosen = [c for c in vectors if tracker.add(c.mask)]
     if len(chosen) != nu:
@@ -65,12 +56,10 @@ def brute_mcb(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> BasisReport:
     return BasisReport("oracle", chosen, sum(c.weight.base for c in chosen))
 
 
-def brute_mhb(
-    k: SimplicialComplex, budget: OracleBudget = DEFAULT_BUDGET
-) -> HomologyBasisReport:
+def brute_mhb(k: SimplicialComplex) -> HomologyBasisReport:
     """Greedy minimum basis modulo boundaries over the full cycle space."""
     g = skeleton(k)
-    vectors = sorted(all_cycle_vectors(g, budget), key=lambda c: c.weight)
+    vectors = sorted(all_cycle_vectors(g), key=lambda c: c.weight)
     profile = homology_profile(k)
     tracker = SpanTracker()
     boundary_sel = [
@@ -88,17 +77,15 @@ def brute_mhb(
     return HomologyBasisReport("oracle", chosen, total, tuple(boundary_sel))
 
 
-def _simple_cycle_walks(g: Graph, budget: OracleBudget) -> list[tuple[list[int], list[int]]]:
+def _simple_cycle_walks(g: Graph) -> list[tuple[list[int], list[int]]]:
     """All elementary cycles as (vertex walk, edge walk) pairs.
 
     Each cycle is produced exactly once: the walk starts at its smallest
     vertex and the first edge index is smaller than the last, which also
     covers two-edge cycles made of parallel edges.
     """
-    if g.n > budget.max_vertices:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceed oracle budget {budget.max_vertices}"
-        )
+    if g.n > MAX_VERTICES:
+        raise BudgetExceededError(f"{g.n} vertices exceed oracle budget {MAX_VERTICES}")
     out: list[tuple[list[int], list[int]]] = []
 
     def extend(start: int, v: int, visited: int, verts: list[int], walk: list[int]):
@@ -142,12 +129,10 @@ def _min_path_table(g: Graph) -> list[list[tuple[int, int] | None]]:
     return table
 
 
-def brute_tight_cycles(
-    g: Graph, budget: OracleBudget = DEFAULT_BUDGET
-) -> TightCycleSet:
+def brute_tight_cycles(g: Graph) -> TightCycleSet:
     """Exhaustive enumeration filtered by the pairwise tightness definition."""
-    _check_rank_budget(g, budget)
-    walks = _simple_cycle_walks(g, budget)
+    _check_rank_budget(g)
+    walks = _simple_cycle_walks(g)
     table = _min_path_table(g)
     tight: list[Cycle] = []
     for verts, walk in walks:

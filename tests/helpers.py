@@ -37,15 +37,6 @@ def dense_rank(rows):
     return rank
 
 
-def dense_product(a, b):
-    """Product of dense 0/1 row-major matrices over GF(2); b has len(a[0]) rows."""
-    ncols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] & b[k][j] for k in range(len(row))) & 1 for j in range(ncols)]
-        for row in a
-    ]
-
-
 def columns_independent(rows, selected):
     """Whether the selected columns of a row-major matrix are independent."""
     sub = [[row[j] for j in selected] for row in rows]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -104,3 +105,13 @@ def test_random_graph_nm_exact_counts():
     assert g.n == 20 and g.m == 40 and component_count(g) == 1
     pairs = {(e.u, e.v) for e in g.edges}
     assert len(pairs) == 40  # simple graph
+
+
+def test_random_graph_nm_edge_lists_are_pinned():
+    """The benchmark's graph workloads and their stored references come
+    from ``random_graph_nm``; a change in its draw order changes them."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        g = random_graph_nm(random.Random(seed), 200, 1000)
+        h.update(repr((g.n, [(e.u, e.v, e.w) for e in g.edges])).encode())
+    assert h.hexdigest()[:16] == "e7e71392a3047ca7"

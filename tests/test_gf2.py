@@ -10,7 +10,6 @@ from minbasis.gf2 import (
     Gf2Vector,
     SpanTracker,
     column_rank_profile,
-    in_span,
     inner_product,
     rank,
 )
@@ -92,52 +91,17 @@ def test_rank_equals_transpose_rank(m):
     assert rank(m) == rank(transpose) == len(column_rank_profile(m))
 
 
-def test_in_span_examples():
-    c = in_span(IDENTITY3, Gf2Vector(3, 0b010))
-    assert c is not None and c.bits == 0b010
-    single = Gf2Matrix.from_bit_columns(2, [0b01])
-    assert in_span(single, Gf2Vector(2, 0b10)) is None
-    # basis {e1, e1+e2}: e2 = first + second
-    m = Gf2Matrix.from_bit_columns(2, [0b01, 0b11])
-    c = in_span(m, Gf2Vector(2, 0b10))
-    assert c is not None and c.bits == 0b11
-
-
-def test_in_span_dimension_error():
-    with pytest.raises(ValueError):
-        in_span(IDENTITY3, Gf2Vector(2, 0b01))
-
-
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_every_column_in_span_of_earliest_basis(m):
-    basis = Gf2Matrix(m.nrows, [m.columns[j] for j in column_rank_profile(m).indices])
+    profile = column_rank_profile(m).indices
+    tracker = SpanTracker()
+    for j in profile:
+        assert tracker.add(m.columns[j].bits)
+    assert tracker.rank == len(profile)
     for col in m.columns:
-        coeff = in_span(basis, col)
-        assert coeff is not None
-        assert coeff.length == basis.ncols
-        acc = 0
-        for j in coeff.indices():
-            acc ^= basis.columns[j].bits
-        assert acc == col.bits
-
-
-@settings(max_examples=80, deadline=None)
-@given(matrices(max_rows=7, max_cols=7))
-def test_span_tracker_solve_gives_inverse(m):
-    """Solving each unit vector over the columns gives a right inverse."""
-    tracker = SpanTracker(track_coefficients=True)
-    for col in m.columns:
-        tracker.add(col.bits)
-    combos = [tracker.solve(1 << i) for i in range(m.nrows)]
-    if rank(m) < m.nrows:
-        assert None in combos  # some unit vector lies outside the column span
-        return
-    right = helpers.rows(Gf2Matrix.from_bit_columns(m.ncols, combos))
-    ident = [[int(i == j) for j in range(m.nrows)] for i in range(m.nrows)]
-    assert helpers.dense_product(helpers.rows(m), right) == ident
-    if m.nrows == m.ncols:
-        assert helpers.dense_product(right, helpers.rows(m)) == ident
+        assert not tracker.add(col.bits)  # already in the span of the profile
+    assert tracker.rank == len(profile) == helpers.dense_rank(helpers.rows(m))
 
 
 def test_inner_product_examples():
@@ -147,16 +111,11 @@ def test_inner_product_examples():
         inner_product(Gf2Vector(3, 0b1), Gf2Vector(2, 0b1))
 
 
-def test_span_tracker_solve_matches_inputs():
-    tracker = SpanTracker(track_coefficients=True)
+def test_span_tracker_keeps_independent_vectors():
+    tracker = SpanTracker()
     vecs = [0b011, 0b110, 0b101]  # third = first + second
-    keeps = [tracker.add(v) for v in vecs]
-    assert keeps == [True, True, False]
-    combo = tracker.solve(0b101)
-    acc = 0
-    for i in range(3):
-        if (combo >> i) & 1:
-            acc ^= vecs[i]
-    assert acc == 0b101
-    assert tracker.solve(0b111) is None  # outside span{011, 110}
+    assert [tracker.add(v) for v in vecs] == [True, True, False]
     assert tracker.rank == 2
+    assert tracker.add(0b111)  # outside span{011, 110}
+    assert not tracker.add(0)
+    assert tracker.rank == 3

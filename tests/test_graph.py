@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,34 @@ def test_fundamental_cycles_are_independent_even_subgraphs(g):
     if cycles:
         m = Gf2Matrix(g.m, [c.edge_set for c in cycles])
         assert rank(m) == len(cycles)
+
+
+def test_fundamental_cycle_is_its_edge_plus_the_forest_path():
+    """The only even subgraph made of one non-tree edge and forest edges is
+    that edge plus the forest path between its endpoints."""
+    for g in seeded_multigraphs(2012, 200):
+        nontree = spanning_forest(g)[1]
+        off_tree = sum(1 << e for e in nontree)
+        cycles = fundamental_cycles(g)
+        assert len(cycles) == len(nontree)
+        for c, e_idx in zip(cycles, nontree):
+            assert c.mask & off_tree == 1 << e_idx
+            assert cycle_from_mask(g, c.mask) == c
+
+
+def test_fundamental_cycles_memory_stays_linear_on_a_long_path():
+    """A 20,000-vertex path closed by one chord: no vertex may keep an
+    edge mask of its whole root path, which would take about 25 MiB."""
+    n = 20_000
+    g = Graph(n, [(i, i + 1, 1) for i in range(n - 1)] + [(0, n - 1, 1)])
+    tracemalloc.start()
+    try:
+        cycles = fundamental_cycles(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [c.mask for c in cycles] == [(1 << n) - 1]
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_cycle_from_mask_rejects_odd_degree():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from minbasis.errors import InfeasibleSupportError
+from minbasis.errors import InfeasibleSupportError, InternalInvariantError
 from minbasis.fixtures import (
     c5,
     k4,
@@ -16,6 +16,7 @@ from minbasis.fixtures import (
 from minbasis.gf2 import Gf2Matrix, Gf2Vector, inner_product, rank
 from minbasis.graph import Graph, apsp, cyclomatic_number, spanning_forest
 from minbasis.mcb import (
+    _kavitha_update,
     mcb_depina,
     mcb_earliest,
     mcb_kavitha,
@@ -227,6 +228,16 @@ def test_every_pick_is_the_lightest_odd_tight_cycle(engine):
         report = engine(g, tcs)
         for i, s in enumerate(report.certificate):
             assert min_weight_odd_cycle(tcs, s) is report.cycles[i]
+
+
+def test_kavitha_block_step_rejects_a_pick_off_the_diagonal():
+    """Picking a cycle its own support vector is even against leaves the
+    block's column without its diagonal bit; substitution could never
+    clear a row from that bit, so the block step must refuse."""
+    support = [0b01, 0b10]
+    parity = [0b01, 0b10]  # vector i is odd against tight cycle i only
+    with pytest.raises(InternalInvariantError, match="block inner-product matrix is singular"):
+        _kavitha_update(support, parity, lambda i: 1)
 
 
 @pytest.mark.parametrize("engine", ALL_ENGINES)

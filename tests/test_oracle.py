@@ -17,13 +17,7 @@ from minbasis.fixtures import (
 )
 from minbasis.gf2 import SpanTracker
 from minbasis.graph import Graph, cyclomatic_number
-from minbasis.oracle import (
-    OracleBudget,
-    all_cycle_vectors,
-    brute_mcb,
-    brute_mhb,
-    brute_tight_cycles,
-)
+from minbasis.oracle import all_cycle_vectors, brute_mcb, brute_mhb, brute_tight_cycles
 
 
 def test_all_cycle_vectors_counts():
@@ -47,10 +41,9 @@ def test_budget_refusals():
         brute_mcb(big)
     with pytest.raises(BudgetExceededError, match="cycle rank 17 exceeds oracle budget 16"):
         brute_tight_cycles(big)
-    wide = path_graph(13)
-    with pytest.raises(BudgetExceededError):
-        brute_tight_cycles(wide)
-    assert brute_tight_cycles(wide, OracleBudget(max_vertices=13)).cycles == []
+    with pytest.raises(BudgetExceededError, match="13 vertices exceed oracle budget 12"):
+        brute_tight_cycles(path_graph(13))
+    assert brute_tight_cycles(path_graph(12)).cycles == []
 
 
 def test_brute_mcb_values():
