@@ -21,24 +21,24 @@ from .simplicial import SimplicialComplex, format_complex, homology_profile
 
 # -- named graphs -----------------------------------------------------------
 
-def complete_graph(k: int, weight: int = 1) -> Graph:
-    return Graph(k, [(u, v, weight) for u in range(k) for v in range(u + 1, k)])
+def complete_graph(k: int) -> Graph:
+    return Graph(k, [(u, v, 1) for u in range(k) for v in range(u + 1, k)])
 
 
 def k4() -> Graph:
     return complete_graph(4)
 
 
-def cycle_graph(k: int, weight: int = 1) -> Graph:
-    return Graph(k, [(i, (i + 1) % k, weight) for i in range(k)])
+def cycle_graph(k: int) -> Graph:
+    return Graph(k, [(i, (i + 1) % k, 1) for i in range(k)])
 
 
 def c5() -> Graph:
     return cycle_graph(5)
 
 
-def path_graph(k: int, weight: int = 1) -> Graph:
-    return Graph(k, [(i, i + 1, weight) for i in range(k - 1)])
+def path_graph(k: int) -> Graph:
+    return Graph(k, [(i, i + 1, 1) for i in range(k - 1)])
 
 
 def petersen() -> Graph:

@@ -82,15 +82,6 @@ class Graph:
             return e.u
         raise ValueError(f"vertex {v} not an endpoint of edge {edge_index}")
 
-    def mask_weight(self, mask: int) -> int:
-        """Sum of weights of the edges in a bit mask."""
-        total = 0
-        while mask:
-            i = mask.bit_length() - 1  # the top bit: clearing it also shortens the int
-            total += self.edges[i].w
-            mask ^= 1 << i
-        return total
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 

@@ -77,7 +77,7 @@ def brute_mhb(k: SimplicialComplex) -> HomologyBasisReport:
     return HomologyBasisReport("oracle", chosen, total, tuple(boundary_sel))
 
 
-def _simple_cycle_walks(g: Graph) -> list[tuple[list[int], list[int]]]:
+def _elementary_cycles(g: Graph) -> list[tuple[list[int], list[int]]]:
     """All elementary cycles as (vertex walk, edge walk) pairs.
 
     Each cycle is produced exactly once: the walk starts at its smallest
@@ -132,7 +132,7 @@ def _min_path_table(g: Graph) -> list[list[tuple[int, int] | None]]:
 def brute_tight_cycles(g: Graph) -> TightCycleSet:
     """Exhaustive enumeration filtered by the pairwise tightness definition."""
     _check_rank_budget(g)
-    walks = _simple_cycle_walks(g)
+    walks = _elementary_cycles(g)
     table = _min_path_table(g)
     tight: list[Cycle] = []
     for verts, walk in walks:

@@ -111,7 +111,7 @@ def homology_profile(k: SimplicialComplex) -> HomologyProfile:
     """Betti numbers from the ranks of the boundary matrices."""
     beta0 = component_count(skeleton(k))
     cycle_rank = k.m - k.n + beta0
-    boundary_rank = rank(boundary_matrix(k, 2)) if k.n2 else 0
+    boundary_rank = rank(boundary_matrix(k, 2))
     return HomologyProfile(beta0, cycle_rank - boundary_rank, boundary_rank, cycle_rank)
 
 

@@ -22,8 +22,9 @@ distinct candidate in six.  Candidates come straight from the
 shortest-path kernel's tie masks: the tie mask of x is the edge set of
 the root -> x path, and the two paths of a candidate meet only at the
 root exactly when their edge masks are disjoint.  One root's masks are
-held at a time, never the all-pairs table.  ``is_tight`` keeps the
-pairwise definition as an independent checker.
+held at a time, never the all-pairs table.  ``is_tight`` is an
+independent checker from the all-pairs table: a cycle is tight exactly
+when every pairwise shortest path between its vertices lies on it.
 
 Every cycle lies inside one biconnected block (Horton, *A polynomial-time
 algorithm to find the shortest cycle basis of a graph*, SIAM J. Comput.
@@ -110,104 +111,78 @@ def _count_candidates(
     return counts
 
 
-def _sorted_cycles(g: Graph, masks: Iterable[int]) -> list[Cycle]:
-    """Cycles of simple edge sets, sorted by tie-broken weight (base, mask)."""
-    return [
-        Cycle(mask, base, g.m)
-        for base, mask in sorted((g.mask_weight(mask), mask) for mask in masks)
-    ]
+def _sorted_cycles(m: int, keys: Iterable[tuple[int, int]]) -> list[Cycle]:
+    """Cycles of (weight, simple edge set) pairs, sorted by (base, mask)."""
+    return [Cycle(mask, base, m) for base, mask in sorted(keys)]
 
 
 def horton_candidates(g: Graph, rows: Iterable[list[Optional[PerturbedWeight]]]) -> list[Cycle]:
     """Every distinct candidate path(v,x) + (x,y) + path(y,v), sorted by weight.
 
-    ``rows`` are key rows such as ``apsp(g).table``, one per root v: the
-    tie of ``row[x]`` is the edge set of the v -> x path.  Unreachable
-    vertices get tie -1, which meets every mask, so the simple-path test
-    rejects the edges among them.
+    ``rows`` are key rows such as ``apsp(g).table``, one per root v:
+    ``row[x]`` keys the v -> x path by (weight, edge set), so a candidate
+    weighs ``row[x].base + row[y].base + w`` without decoding its mask.
+    An edge leaving v's component has both endpoints unreachable (None).
     """
-    edges = [(x, y, 1 << i) for i, (x, y, _) in enumerate(g.edges)]
-    masks: set[int] = set()
+    edges = [(e.u, e.v, e.w, 1 << i) for i, e in enumerate(g.edges)]
+    weights: dict[int, int] = {}
     for row in rows:
-        tie = [-1 if d is None else d.tie for d in row]
-        for x, y, bit in edges:
-            tx, ty = tie[x], tie[y]
-            if tx & ty:
+        for x, y, w, bit in edges:
+            dx, dy = row[x], row[y]
+            if dx is None or dx.tie & dy.tie:
                 continue
-            path = tx | ty
+            path = dx.tie | dy.tie
             if not path & bit:
-                masks.add(path | bit)
-    return _sorted_cycles(g, masks)
+                weights[path | bit] = dx.base + dy.base + w
+    return _sorted_cycles(g.m, ((base, mask) for mask, base in weights.items()))
 
 
-def _cycle_walk(g: Graph, cycle: Cycle) -> tuple[list[int], list[int]]:
-    """Closed walk (vertices, edges) of an elementary cycle.
+def _cycle_vertices(g: Graph, cycle: Cycle) -> list[int]:
+    """Vertices of an elementary cycle.
 
-    Returns vertices v_0..v_{k-1} and edges e_0..e_{k-1} with e_i joining
-    v_i and v_{i+1 mod k}.  Raises ValueError when the edge set is not a
-    single closed loop of degree-2 vertices.
+    Raises ValueError when the edge set is not a single closed loop of
+    degree-2 vertices.
     """
-    incident: dict[int, list[int]] = {}
-    rest = cycle.mask
-    count = 0
-    while rest:
-        low = rest & -rest
-        e_idx = low.bit_length() - 1
-        e = g.edges[e_idx]
-        incident.setdefault(e.u, []).append(e_idx)
-        incident.setdefault(e.v, []).append(e_idx)
-        count += 1
-        rest ^= low
-    if count == 0:
+    if not cycle.mask:
         raise ValueError("empty cycle has no walk")
+    incident: dict[int, list[int]] = {}
+    for e_idx in cycle.edge_indices():
+        for x in g.edges[e_idx][:2]:
+            incident.setdefault(x, []).append(e_idx)
     for v, inc in incident.items():
         if len(inc) != 2:
             raise ValueError(f"vertex {v} has degree {len(inc)}; cycle not elementary")
     start = min(incident)
-    verts = [start]
-    edges = [incident[start][0]]
-    v = g.other_end(edges[0], start)
+    edge = incident[start][0]
+    v = g.other_end(edge, start)
+    steps = 1
     while v != start:
-        verts.append(v)
         a, b = incident[v]
-        nxt = b if a == edges[-1] else a
-        edges.append(nxt)
-        v = g.other_end(nxt, v)
-    if len(edges) != count:
+        edge = b if a == edge else a
+        v = g.other_end(edge, v)
+        steps += 1
+    if steps != len(incident):
         raise ValueError("edge set is disconnected; cycle not elementary")
-    return verts, edges
+    return list(incident)
 
 
 def is_tight(cycle: Cycle, pairs: AllPairs) -> bool:
     """Check that one arc of the cycle realizes every pairwise distance.
 
-    Comparisons are exact in the tie-broken order, so an arc matches the
-    distance only when it is, edge for edge, the unique shortest path.
+    Shortest paths are unique in the tie-broken order, and a simple path
+    between two vertices of an elementary cycle that uses only cycle
+    edges is one of its two arcs.  So one arc realizes the a-b distance
+    exactly when the unique shortest a-b path lies on the cycle: that arc
+    is then the shortest path and the lighter arc, and otherwise neither
+    arc is.  The test is ``tie & ~mask == 0`` per pair of vertices.
     """
-    g = pairs.graph
-    verts, edges = _cycle_walk(g, cycle)
-    k = len(edges)
-    # prefix[i] = weight/mask of the arc v_0..v_i (first i edges)
-    pre_b = [0] * (k + 1)
-    pre_m = [0] * (k + 1)
-    for i, e_idx in enumerate(edges):
-        pre_b[i + 1] = pre_b[i] + g.edges[e_idx].w
-        pre_m[i + 1] = pre_m[i] | (1 << e_idx)
-    total_b, total_m = pre_b[k], cycle.mask
+    verts = _cycle_vertices(pairs.graph, cycle)
+    outside = ~cycle.mask
     table = pairs.table
-    for i in range(k):
-        row = table[verts[i]]
-        for j in range(i + 1, k):
-            d = row[verts[j]]
-            arc_b = pre_b[j] - pre_b[i]
-            arc_m = pre_m[j] ^ pre_m[i]
-            other_b = total_b - arc_b
-            other_m = total_m ^ arc_m
-            if (arc_b, arc_m) <= (other_b, other_m):
-                best_b, best_m = arc_b, arc_m
-            else:
-                best_b, best_m = other_b, other_m
-            if best_b != d.base or best_m != d.tie:
+    for i, a in enumerate(verts):
+        row = table[a]
+        for b in verts[i + 1:]:
+            if row[b].tie & outside:
                 return False
     return True
 
@@ -272,16 +247,6 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
     return blocks
 
 
-def _lift(mask: int, block: list[int]) -> int:
-    """Map a block-local edge mask back to original edge indices."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << block[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycleSet:
     """All tight cycles of the graph, sorted by tie-broken weight.
 
@@ -290,20 +255,30 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     relabeled in increasing order, runs the shortest-path kernel from
     each block vertex in increasing order (each tie list dropped once
     counted), inserts each candidate into the count table at its lowest
-    vertex only, keeps the candidates generated by all their vertices,
-    and maps them back to the original edge indices.  The tie mask of x
+    vertex only, and keeps the candidates generated by all their
+    vertices.  One pass over each kept mask's bits sums its weight and
+    maps it back to the original edge indices.  The tie mask of x
     is the edge set of the root -> x path, so path disjointness is
     tested on edge masks.  The merged list is sorted by (weight, edge
     bit set), so the root order that decides insertion does not show in
     the output.  ``pairs`` is accepted for existing callers and ignored.
     """
-    masks: list[int] = []
+    keys: list[tuple[int, int]] = []
     for block in _cyclic_blocks(g):
         verts = sorted({x for e_idx in block for x in g.edges[e_idx][:2]})
         local = {v: i for i, v in enumerate(verts)}
         edges = [(local[e.u], local[e.v], e.w) for e in (g.edges[i] for i in block)]
         adj = weighted_adjacency(len(verts), edges)
         ties = (shortest_path_keys(adj, r)[1] for r in range(len(verts)))
-        counts = _count_candidates(edges, ties)
-        masks += [_lift(mask, block) for mask, times in counts.items() if times == mask.bit_count()]
-    return TightCycleSet(_sorted_cycles(g, masks), sum(mask.bit_count() for mask in masks))
+        for mask, times in _count_candidates(edges, ties).items():
+            if times != mask.bit_count():
+                continue
+            base = lifted = 0
+            while mask:
+                low = mask & -mask
+                i = low.bit_length() - 1
+                base += edges[i][2]
+                lifted |= 1 << block[i]
+                mask ^= low
+            keys.append((base, lifted))
+    return TightCycleSet(_sorted_cycles(g.m, keys), sum(mask.bit_count() for _, mask in keys))

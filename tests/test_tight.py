@@ -23,7 +23,7 @@ from minbasis.graph import (
     shortest_path_keys,
     weighted_adjacency,
 )
-from minbasis.oracle import brute_tight_cycles
+from minbasis.oracle import all_cycle_vectors, brute_tight_cycles
 from minbasis.tight import enumerate_tight_cycles, horton_candidates, is_tight
 
 from test_graph import seeded_multigraphs, small_graphs
@@ -97,6 +97,17 @@ def test_candidates_match_key_rows():
         assert got == _candidates_from_rows(g, rows)
 
 
+def test_candidate_and_tight_weights_match_their_edge_sets():
+    # Candidates are weighed from the row keys and tight cycles while their
+    # masks are lifted; both must equal the edge weights summed off the mask.
+    rng = random.Random(2014)
+    graphs = [*seeded_multigraphs(2014, 60), *(_glued_graph(rng) for _ in range(60))]
+    for g in graphs:
+        cycles = [*horton_candidates(g, apsp(g).table), *enumerate_tight_cycles(g).cycles]
+        for c in cycles:
+            assert c.base == cycle_from_mask(g, c.mask).base
+
+
 def test_is_tight_triangle_in_k4():
     g = k4()
     pairs = apsp(g)
@@ -134,6 +145,52 @@ def test_is_tight_requires_elementary_cycle():
     both = cycle_from_mask(g, 0b111111)
     with pytest.raises(ValueError):
         is_tight(both, apsp(g))
+    figure_eight = Graph(5, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1), (0, 4, 1)])
+    for mask in (0b111111, 0):  # vertex 0 of degree 4; no edge at all
+        with pytest.raises(ValueError):
+            is_tight(cycle_from_mask(figure_eight, mask), apsp(figure_eight))
+
+
+def _is_elementary(g, mask):
+    """Whether a nonzero edge set is one closed loop: every vertex it touches
+    has degree 2 and a flood fill along its edges reaches them all."""
+    ends = [g.edges[i][:2] for i in range(g.m) if mask >> i & 1]
+    degree = {}
+    for u, v in ends:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    if set(degree.values()) != {2}:
+        return False
+    reached = {ends[0][0]}
+    grown = True
+    while grown:
+        grown = False
+        for u, v in ends:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grown = True
+    return reached == set(degree)
+
+
+def test_is_tight_matches_pairwise_definition_on_every_cycle():
+    # brute_tight_cycles compares both arcs of each elementary cycle with
+    # the exhaustive minimum over all simple paths, pair by pair.
+    graphs = [
+        g for g in seeded_multigraphs(2013, 120) if g.n <= 12 and cyclomatic_number(g) <= 16
+    ]
+    assert len(graphs) >= 30
+    checked = 0
+    for g in graphs:
+        pairs = apsp(g)
+        tight = canonical(brute_tight_cycles(g))
+        for c in all_cycle_vectors(g):
+            if _is_elementary(g, c.mask):
+                assert is_tight(c, pairs) == (c.mask in tight)
+                checked += 1
+            else:
+                with pytest.raises(ValueError):
+                    is_tight(c, pairs)
+    assert checked >= 500
 
 
 def _path_vertices(g, mask, root):
