@@ -17,8 +17,7 @@ for a simple cycle is its edge count.  Roots run in increasing vertex
 order, so a cycle is first generated by its lowest vertex; only that
 root inserts it into the count table, and later roots increment a mask
 already there.  A mask its lowest vertex did not generate cannot be
-tight, so dropping it loses nothing, and the table holds about one
-distinct candidate in six.  Candidates come straight from the
+tight, so dropping it loses nothing.  Candidates come straight from the
 shortest-path kernel's tie masks: the tie mask of x is the edge set of
 the root -> x path, and the two paths of a candidate meet only at the
 root exactly when their edge masks are disjoint.  One root's masks are
@@ -26,19 +25,42 @@ held at a time, never the all-pairs table.  ``is_tight`` is an
 independent checker from the all-pairs table: a cycle is tight exactly
 when every pairwise shortest path between its vertices lies on it.
 
+An edge xy is non-geodesic when it is not itself the shortest x-y path
+P(x, y).  Such edges leave both the kernel and the counting scan:
+
+(a) A sub-path of a shortest path is shortest in the tie-broken order
+    (it is an ordinary metric with weight ``w + eps * 2**i`` on edge i),
+    so xy lies on no shortest path and deleting it changes no key.
+(b) In a tight cycle one of the two x-y arcs is P(x, y); the arc {xy} is
+    not, so any tight cycle through xy is P(x, y) + xy.  That cycle is
+    tight, since every pair of its vertices is joined by a sub-path of
+    P(x, y).  The enumerator emits it once, as ``tie[y] | bit`` at the
+    root of the lower endpoint x.
+(c) Every vertex of P(x, y) + xy generates it with xy as the joining
+    edge.  Once xy leaves the scan, a count an earlier root started for
+    that mask stays below its edge count, so it is never kept twice.
+(d) A tight cycle made only of geodesic edges is generated by each of
+    its vertices through shortest paths and a geodesic joining edge, so
+    it keeps its exact multiplicity.
+
+A cheap pre-test flags the edges that a parallel edge or a two-edge path
+beats before any root runs; each root then catches the non-geodesic
+edges among its own after its kernel run, which covers longer detours.
+
 Every cycle lies inside one biconnected block (Horton, *A polynomial-time
 algorithm to find the shortest cycle basis of a graph*, SIAM J. Comput.
 1987), so an iterative Tarjan lowpoint pass finds the blocks with at
 least two edges and the kernel runs only from their vertices and only
-inside them; forests, pendant trees and bridges cost O(n + m).  Each
-block's adjacency is built with its vertices and edges relabeled in
-increasing original order.  The tie-break compares edge bit sets as
-integers and a monotone relabeling keeps every such comparison, so the
-shortest paths, candidates and multiplicities are those of the whole
-graph: a simple shortest path between two block vertices never leaves
-the block, and a candidate whose joining edge lies in a block without
-its root has both paths through the same cut vertex, so the simple-cycle
-test rejects it.
+inside them; forests, pendant trees and bridges cost O(n + m).  A block
+with as many edges as vertices is one cycle, which is its only tight
+cycle, and runs no kernel.  Each block's adjacency is built with its
+vertices and edges relabeled in increasing original order.  The
+tie-break compares edge bit sets as integers and a monotone relabeling
+keeps every such comparison, so the shortest paths, candidates and
+multiplicities are those of the whole graph: a simple shortest path
+between two block vertices never leaves the block, and a candidate whose
+joining edge lies in a block without its root has both paths through the
+same cut vertex, so the simple-cycle test rejects it.
 """
 
 from __future__ import annotations
@@ -47,7 +69,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import AllPairs, Cycle, Graph, PerturbedWeight
-from .graph import shortest_path_keys, weighted_adjacency
+from .graph import Adjacency, shortest_path_keys
 
 
 @dataclass
@@ -58,42 +80,106 @@ class TightCycleSet:
     total_length: int  # sum of edge counts
 
 
-def _count_candidates(
-    edges: Iterable[tuple[int, int, int]], ties: Iterable[list[int]]
-) -> dict[int, int]:
-    """Horton candidate masks mapped to the number of roots generating them,
-    for every mask that its lowest vertex generates.
+def _two_hop_detours(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
+    """Bit set of the edges that a parallel edge or a two-edge path beats.
 
-    ``ties`` yields the tie lists of roots 0, 1, 2, ... in order, ``tie[x]``
+    Edge i = (x, y, w) is flagged when a parallel edge is lighter in the
+    (weight, edge bit set) order, or when some z has lightest edges
+    (x, z, w1, b1) and (z, y, w2, b2) with ``(w1 + w2, b1 | b2)`` below
+    ``(w, 1 << i)``.  Either way the edge is not the shortest x-y path,
+    so every flagged edge is non-geodesic.
+    """
+    lightest: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+    flagged = 0
+    bit = 1
+    for x, y, w in edges:
+        old = lightest[x].get(y)
+        if old is None or w < old[0]:
+            lightest[x][y] = lightest[y][x] = (w, bit)
+            if old is not None:
+                flagged |= old[1]
+        else:
+            flagged |= bit
+        bit <<= 1
+    for x, near in enumerate(lightest):
+        for y, (w, bit) in near.items():
+            if y < x:
+                continue
+            far = lightest[y]
+            for z, (w1, b1) in near.items():
+                if w1 > w:
+                    continue  # the detour outweighs the edge
+                t = far.get(z)
+                if t is not None and (w1 + t[0] < w or w1 + t[0] == w and b1 | t[1] < bit):
+                    flagged |= bit
+                    break
+    return flagged
+
+
+def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
+    """Edge masks of the tight cycles of one block.
+
+    ``edges`` are the block's (x, y, weight) on vertices 0..n-1, bit i
+    being edge i.  A block with as many edges as vertices is one cycle
+    and is returned whole, with no kernel run.
+
+    Otherwise the kernel runs from roots 0, 1, 2, ... in order, ``tie[x]``
     being the edge set of the root -> x path.  A candidate path(v,x) +
-    (x,y) + path(y,v) is kept only when the two paths are edge-disjoint
+    (x,y) + path(y,v) is counted only when the two paths are edge-disjoint
     and the joining edge lies on neither; each such edge set is a simple
     cycle, because paths that met at a vertex other than the root would
-    share the path up to it.
-
-    Only a cycle's own vertices generate it, so its lowest vertex is the
-    first root to do so.  ``done`` is the union of the edges incident to
-    the roots already run; a path's edges touch exactly its vertices, so
-    ``tie[x] & done`` is nonzero exactly when the root -> x path passes an
-    earlier root.  A candidate whose two paths pass no earlier root has
+    share the path up to it.  ``done`` is the union of the edges incident
+    to the roots already run; a path's edges touch exactly its vertices,
+    so ``tie[x] & done`` is nonzero exactly when the root -> x path passes
+    an earlier root.  A candidate whose two paths pass no earlier root has
     the current root as its lowest vertex and is stored with count 1; any
-    other candidate only increments a mask already present.  A mask
-    missing at that point was not generated by its lowest vertex, so it
-    cannot be tight, and leaving it out keeps the table to the masks that
-    can reach ``count == edge count``.  No tie list is kept after it is
-    counted, so a generator holds memory to about one tree at a time.
+    other candidate only increments a mask already present.  A mask is
+    kept when its count equals its edge count.  No tie list is kept after
+    it is counted.
+
+    Non-geodesic edges never enter the adjacency or the scan when
+    ``_two_hop_detours`` flags them, and leave both when a root's kernel
+    run finds an incident edge (y, w, bit) with ``tie[y] != bit``.  Either
+    way the edge's one tight cycle ``tie[y] | bit`` is emitted at the root
+    of its lower endpoint (see the module docstring for why this keeps the
+    tight list exact).
     """
-    edges = [(x, y, 1 << i) for i, (x, y, _) in enumerate(edges)]
-    incident: dict[int, int] = {}
-    for x, y, bit in edges:
-        incident[x] = incident.get(x, 0) | bit
-        incident[y] = incident.get(y, 0) | bit
+    if len(edges) == n:
+        return [(1 << len(edges)) - 1]
+    detours = _two_hop_detours(n, edges)
+    adj: Adjacency = [[] for _ in range(n)]
+    scan: list[tuple[int, int, int]] = []
+    incident = [0] * n
+    emit_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    bit = 1
+    for x, y, w in edges:
+        incident[x] |= bit
+        incident[y] |= bit
+        if detours & bit:
+            emit_at[min(x, y)].append((max(x, y), bit))
+        else:
+            adj[x].append((y, w, bit))
+            adj[y].append((x, w, bit))
+            scan.append((x, y, bit))
+        bit <<= 1
+    kept: list[int] = []
     counts: dict[int, int] = {}
     get = counts.get
     done = 0
-    for root, tie in enumerate(ties):
+    for root in range(n):
+        tie = shortest_path_keys(adj, root)[1]
+        kept += [tie[y] | bit for y, bit in emit_at[root]]
+        dropped = 0
+        for y, w, bit in adj[root]:
+            if tie[y] != bit:
+                kept.append(tie[y] | bit)
+                dropped |= bit
+                adj[y].remove((root, w, bit))
+        if dropped:
+            adj[root] = [a for a in adj[root] if not a[2] & dropped]
+            scan = [s for s in scan if not s[2] & dropped]
         late = [t & done for t in tie]  # nonzero: the path passes an earlier root
-        for x, y, bit in edges:
+        for x, y, bit in scan:
             tx, ty = tie[x], tie[y]
             if tx & ty:
                 continue
@@ -107,8 +193,9 @@ def _count_candidates(
                     counts[mask] = c + 1
             else:
                 counts[mask] = 1
-        done |= incident.get(root, 0)
-    return counts
+        done |= incident[root]
+    kept += [mask for mask, times in counts.items() if times == mask.bit_count()]
+    return kept
 
 
 def _sorted_cycles(m: int, keys: Iterable[tuple[int, int]]) -> list[Cycle]:
@@ -250,29 +337,30 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
 def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycleSet:
     """All tight cycles of the graph, sorted by tie-broken weight.
 
-    Works one biconnected block at a time: for each block with at least
-    two edges it builds the block's adjacency with vertices and edges
-    relabeled in increasing order, runs the shortest-path kernel from
-    each block vertex in increasing order (each tie list dropped once
-    counted), inserts each candidate into the count table at its lowest
-    vertex only, and keeps the candidates generated by all their
-    vertices.  One pass over each kept mask's bits sums its weight and
-    maps it back to the original edge indices.  The tie mask of x
-    is the edge set of the root -> x path, so path disjointness is
-    tested on edge masks.  The merged list is sorted by (weight, edge
-    bit set), so the root order that decides insertion does not show in
-    the output.  ``pairs`` is accepted for existing callers and ignored.
+    Works one biconnected block at a time, with the block's vertices and
+    edges relabeled in increasing order.  A block with as many edges as
+    vertices is one cycle and is emitted whole.  In any other block the
+    shortest-path kernel runs from each vertex in increasing order; each
+    candidate is inserted into the count table at its lowest vertex only,
+    and the candidates generated by all their vertices are kept.  A
+    non-geodesic edge xy, one that is not itself the shortest x-y path
+    P(x, y), is dropped from the kernel and the scan and emits P(x, y) +
+    xy once: (a) it lies on no shortest path, so no key changes; (b)
+    P(x, y) + xy is its only tight cycle; (c) that cycle is never also
+    kept by count, since xy, its joining edge at every vertex, has left
+    the scan; (d) cycles of geodesic edges keep their exact counts.  One
+    pass over each kept mask's bits sums its weight and maps it back to
+    the original edge indices.  The merged list is sorted by (weight, edge
+    bit set), so the root order that decides insertion and detection does
+    not show in the output.  ``pairs`` is accepted for existing callers
+    and ignored.
     """
     keys: list[tuple[int, int]] = []
     for block in _cyclic_blocks(g):
         verts = sorted({x for e_idx in block for x in g.edges[e_idx][:2]})
         local = {v: i for i, v in enumerate(verts)}
         edges = [(local[e.u], local[e.v], e.w) for e in (g.edges[i] for i in block)]
-        adj = weighted_adjacency(len(verts), edges)
-        ties = (shortest_path_keys(adj, r)[1] for r in range(len(verts)))
-        for mask, times in _count_candidates(edges, ties).items():
-            if times != mask.bit_count():
-                continue
+        for mask in _block_tight_masks(len(verts), edges):
             base = lifted = 0
             while mask:
                 low = mask & -mask

@@ -24,7 +24,7 @@ from minbasis.graph import (
     weighted_adjacency,
 )
 from minbasis.oracle import all_cycle_vectors, brute_tight_cycles
-from minbasis.tight import enumerate_tight_cycles, horton_candidates, is_tight
+from minbasis.tight import _two_hop_detours, enumerate_tight_cycles, horton_candidates, is_tight
 
 from test_graph import seeded_multigraphs, small_graphs
 
@@ -343,15 +343,71 @@ def _relabeled(g, rng):
     return Graph(g.n, [(label[e.u], label[e.v], e.w) for e in g.edges])
 
 
-def test_enumerate_invariant_under_vertex_relabeling():
-    # Roots run in vertex order and each candidate is inserted at its lowest
-    # vertex, so a relabeling changes which root inserts each cycle; the
-    # tight list must still be the pairwise filter's on the original labels.
-    rng = random.Random(2012)
-    graphs = [*seeded_multigraphs(2012, 80), *(_glued_graph(rng) for _ in range(60))]
+def _dense_graphs(seed, count):
+    """Connected simple graphs on 16..24 vertices holding up to every pair,
+    weights 1..8: most of their edges are non-geodesic."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(16, 24)
+        yield random_graph_nm(rng, n, rng.randint(n - 1, n * (n - 1) // 2))
+
+
+def _filtered_tight(g, pairs):
+    """The tight list by definition: every Horton candidate ``is_tight`` keeps."""
+    return [c for c in horton_candidates(g, pairs.table) if is_tight(c, pairs)]
+
+
+def test_non_geodesic_edge_lies_in_exactly_one_tight_cycle():
+    # An edge xy that is not itself the shortest x-y path P lies in exactly
+    # one tight cycle, P + xy; every edge the 2-hop pre-test flags is one.
+    graphs = [*_dense_graphs(2015, 25), *seeded_multigraphs(2015, 150)]
+    non_geodesic = flagged = 0
     for g in graphs:
         pairs = apsp(g)
-        filtered = [c for c in horton_candidates(g, pairs.table) if is_tight(c, pairs)]
+        tight = [c.mask for c in enumerate_tight_cycles(g).cycles]
+        detours = _two_hop_detours(g.n, g.edges)
+        for i, e in enumerate(g.edges):
+            bit = 1 << i
+            tie = pairs.table[e.u][e.v].tie
+            if tie == bit:
+                assert not detours & bit
+                continue
+            non_geodesic += 1
+            flagged += bool(detours & bit)
+            assert [mask for mask in tight if mask & bit] == [tie | bit]
+    assert non_geodesic > flagged > 0  # both detection paths are exercised
+
+
+def test_detour_of_three_edges_is_emitted_once():
+    # Only the unit path 0-1-2-3 beats the edge (0, 3) of weight 10, so the
+    # 2-hop pre-test misses it and root 0 must catch it after its kernel run.
+    g = Graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10), (0, 4, 1), (1, 4, 1)])
+    assert _two_hop_detours(g.n, g.edges) == 0
+    detour_cycle = 0b1111
+    rng = random.Random(2016)
+    for h in (g, _relabeled(g, rng), _relabeled(g, rng)):
+        pairs = apsp(h)
+        got = enumerate_tight_cycles(h)
+        assert [c.mask for c in got.cycles].count(detour_cycle) == 1
+        assert [(c.base, c.mask) for c in got.cycles] == [
+            (c.base, c.mask) for c in _filtered_tight(h, pairs)
+        ]
+
+
+def test_enumerate_invariant_under_vertex_relabeling():
+    # Roots run in vertex order and each candidate is inserted at its lowest
+    # vertex, so a relabeling changes which root inserts each cycle and which
+    # root detects each non-geodesic edge; the tight list must still be the
+    # pairwise filter's on the original labels.
+    rng = random.Random(2012)
+    graphs = [
+        *seeded_multigraphs(2012, 80),
+        *(_glued_graph(rng) for _ in range(60)),
+        *_dense_graphs(2012, 12),
+    ]
+    for g in graphs:
+        pairs = apsp(g)
+        filtered = _filtered_tight(g, pairs)
         want = [(c.base, c.mask) for c in filtered]
         for h in (g, _relabeled(g, rng), _relabeled(g, rng)):
             got = enumerate_tight_cycles(h)
@@ -384,10 +440,45 @@ def test_enumerate_runs_dijkstra_only_inside_cyclic_blocks(monkeypatch):
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", counting_kernel)
     path = path_graph(50)
-    g = Graph(51, [*path.edges, (48, 50, 1), (49, 50, 1)])  # triangle at the end
+    k4_tail = [(u, v, 1) for u in range(49, 53) for v in range(u + 1, 53)]
+    g = Graph(53, [*path.edges, *k4_tail])  # unit K4 at the end: every edge geodesic
     tcs = enumerate_tight_cycles(g)
-    assert [c.edge_indices() for c in tcs.cycles] == [(48, 49, 50)]
-    assert calls == [3, 3, 3]
+    triangles = [(49, 50, 52), (49, 51, 53), (50, 51, 54), (52, 53, 54)]
+    assert sorted(c.edge_indices() for c in tcs.cycles) == triangles
+    assert calls == [4, 4, 4, 4]
+
+
+def test_two_hop_detours_never_reach_the_kernel(monkeypatch):
+    seen = []
+
+    def recording_kernel(adj, root):
+        seen.append({bit for row in adj for _, _, bit in row})
+        return shortest_path_keys(adj, root)
+
+    monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
+    # a unit square with two diagonals that its 2-edge sides beat
+    g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 5), (1, 3, 2)])
+    assert _two_hop_detours(g.n, g.edges) == 0b110000
+    tcs = enumerate_tight_cycles(g)
+    assert [c.edge_indices() for c in tcs.cycles] == [(0, 1, 2, 3), (1, 2, 5), (0, 1, 4)]
+    assert seen == [{1, 2, 4, 8}] * 4
+
+
+def test_enumerate_one_cycle_blocks_run_no_kernel(monkeypatch):
+    def no_kernel(adj, root):
+        raise AssertionError("shortest-path tree built for a block that is one cycle")
+
+    monkeypatch.setattr("minbasis.tight.shortest_path_keys", no_kernel)
+    path = path_graph(50)
+    triangle = [(48, 50, 1), (49, 50, 1)]
+    ring = [(10, 51, 2), (51, 52, 3), (52, 53, 1), (53, 54, 4), (54, 10, 5)]
+    g = Graph(55, [*path.edges, *triangle, *ring])
+    tcs = enumerate_tight_cycles(g)
+    assert [(c.base, c.edge_indices()) for c in tcs.cycles] == [
+        (3, (48, 49, 50)),
+        (15, (51, 52, 53, 54, 55)),
+    ]
+    assert tcs.total_length == 8
 
 
 def test_enumerate_long_path_has_no_recursion_limit():
