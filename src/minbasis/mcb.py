@@ -6,7 +6,8 @@ Three interchangeable engines, all exact and deterministic:
   tight list (the earliest basis of the tight-cycle matrix).
 * ``depina``    - maintain support vectors; repeatedly take the lightest
   tight cycle with odd inner product against the current support vector
-  and re-orthogonalize the rest one by one.
+  and re-orthogonalize the later vectors odd against it, found through a
+  column index of the parity rows.
 * ``kavitha``   - same invariants as ``depina`` but the support vectors
   are re-orthogonalized in bulk by a divide-and-conquer block update,
   which solves its unitriangular block by substitution.
@@ -23,10 +24,13 @@ the certificate as they stand.
 Each support vector S_i carries a parity row P_i: bit j of P_i is the
 inner product of the j-th cycle of the weight-sorted tight list with
 S_i.  The rows start as "the tight cycles containing non-tree edge i",
-built in one pass over the tight masks, and every ``S_j ^= S_k`` goes
-with ``P_j ^= P_k``.  The lightest tight cycle odd against S_i is then
-the lowest set bit of P_i, and an inner product is one bit of a row,
-so the engines take no popcount over edge masks.
+built in one pass that peels the non-tree bits of each tight mask, and
+every ``S_j ^= S_k`` goes with ``P_j ^= P_k``.  The lightest tight cycle
+odd against S_i is then the lowest set bit of P_i, and an inner product
+is one bit of a row, so the engines take no popcount over edge masks.
+``depina`` also keeps the rows' transpose, one column per tight cycle,
+so each step reads the vectors it must change off one column and no
+step scans every later row.
 """
 
 from __future__ import annotations
@@ -129,16 +133,26 @@ def _support_basis(
     1, ... in order, each time with ``support[i]`` orthogonal to the
     cycles picked before, and must pair every ``support[j] ^=
     support[k]`` with ``parity[j] ^= parity[k]``.  ``pick`` returns the
-    chosen cycle's position in the tight list.
+    chosen cycle's position in the tight list.  Only ``support`` is read
+    after ``update`` returns, so ``update`` may release ``parity[i]``
+    once ``pick(i)`` has read it.
     """
     tcs = _tight_set(g, tight)
     nontree = spanning_forest(g)[1]
     support = [1 << e for e in nontree]
-    on_edge = [0] * g.m  # bit j set when tight cycle j contains the edge
-    for j, c in enumerate(tcs.cycles):
-        for e in c.edge_indices():
-            on_edge[e] |= 1 << j
-    parity = [on_edge[e] for e in nontree]
+    row_of = [-1] * g.m  # row of each non-tree edge; tree edges get none
+    for k, e in enumerate(nontree):
+        row_of[e] = k
+    nontree_mask = sum(support)
+    parity = [0] * len(nontree)  # bit j set when tight cycle j holds the edge
+    bit = 1
+    for c in tcs.cycles:
+        rest = c.mask & nontree_mask
+        while rest:
+            low = rest & -rest
+            parity[row_of[low.bit_length() - 1]] |= bit
+            rest ^= low
+        bit <<= 1
     cycles: list[Cycle] = []
 
     def pick(i: int) -> int:
@@ -161,13 +175,33 @@ def _support_basis(
 def _depina_update(
     support: list[int], parity: list[int], pick: Callable[[int], int]
 ) -> None:
+    # col[p] has bit j set when parity[j] holds tight cycle p; it stays
+    # exact for the rows after the current step, which are all it is read for
+    col = [0] * max((row.bit_length() for row in parity), default=0)
+    for j, row in enumerate(parity):
+        bit = 1 << j
+        while row:
+            low = row & -row
+            col[low.bit_length() - 1] |= bit
+            row ^= low
     for i in range(len(support)):
-        bit = 1 << pick(i)
+        p = pick(i)
         s, row = support[i], parity[i]
-        for j in range(i + 1, len(support)):
-            if parity[j] & bit:
+        hits = col[p] >> (i + 1)  # the later rows odd against the pick
+        if hits:
+            rows = hits << (i + 1)
+            bits = row
+            while bits:
+                low = bits & -bits
+                col[low.bit_length() - 1] ^= rows
+                bits ^= low
+            while hits:
+                low = hits & -hits
+                j = i + low.bit_length()
                 support[j] ^= s
                 parity[j] ^= row
+                hits ^= low
+        col[p] = parity[i] = 0  # no later step reads either
 
 
 def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
@@ -176,6 +210,13 @@ def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     Invariants maintained: after step i every remaining support vector is
     orthogonal to the cycles chosen so far, and the cycle chosen at step
     i has odd inner product with its own support vector.
+
+    Step i changes only the later S_j odd against its pick C_i.  Those j
+    are the bits above i of C_i's column in a column index of the parity
+    rows (bit j of column p set when P_j holds tight cycle p), so no step
+    scans every later row.  Adding P_i to a row flips that row's bit in
+    the column of every cycle P_i holds, and the index follows.  A
+    picked column and a spent row are never read again and are released.
     """
     return _support_basis("depina", g, tight, _depina_update)
 
