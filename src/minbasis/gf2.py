@@ -3,6 +3,7 @@
 A vector is a single Python integer carrying one bit per coordinate, so
 vector addition is a word-wide XOR and an inner product is a popcount.
 Python integers are unbounded, which makes the packing width-independent.
+``bit_indices`` is the one decoder from a vector to its set-bit positions.
 Matrices are ordered sequences of column vectors; the order matters
 because column rank profiles are defined over it.
 """
@@ -11,6 +12,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable
+
+_PEEL_MAX = 256
+
+
+def bit_indices(bits: int) -> list[int]:
+    """Positions of the set bits of ``bits`` (non-negative), ascending.
+
+    Peeling a bit copies the rest of the integer; a scan of the reversed
+    binary string reads it once.  Masks with more than ``_PEEL_MAX`` set
+    bits are scanned, so decoding is linear in the mask's length.
+    """
+    out = []
+    if bits.bit_count() > _PEEL_MAX:
+        text = bin(bits)[:1:-1]  # text[i] is bit i
+        i = text.find("1")
+        while i >= 0:
+            out.append(i)
+            i = text.find("1", i + 1)
+        return out
+    while bits:
+        top = bits.bit_length() - 1
+        out.append(top)
+        bits ^= 1 << top
+    out.reverse()
+    return out
 
 
 @dataclass
@@ -28,16 +54,6 @@ class Gf2Vector:
             raise ValueError("length must be non-negative")
         if self.bits < 0 or self.bits >> self.length:
             raise ValueError("bits beyond `length` must be zero")
-
-    def indices(self) -> tuple[int, ...]:
-        """Positions of the set bits, ascending."""
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return tuple(out)
 
 
 def inner_product(u: Gf2Vector, v: Gf2Vector) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ParseError
-from .gf2 import Gf2Vector
+from .gf2 import Gf2Vector, bit_indices
 
 #: Largest accepted edge weight.  Sums never overflow (Python integers are
 #: unbounded); the cap just keeps inputs inside a sane 64-bit range.
@@ -111,7 +111,7 @@ class Cycle:
         return PerturbedWeight(self.base, self.mask)
 
     def edge_indices(self) -> tuple[int, ...]:
-        return self.edge_set.indices()
+        return tuple(bit_indices(self.mask))
 
     def edge_count(self) -> int:
         return self.mask.bit_count()
@@ -123,14 +123,11 @@ def cycle_from_mask(g: Graph, mask: int) -> Cycle:
         raise ValueError("edge mask out of range")
     degree: dict[int, int] = {}
     base = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        e = g.edges[low.bit_length() - 1]
+    for i in bit_indices(mask):
+        e = g.edges[i]
         base += e.w
         degree[e.u] = degree.get(e.u, 0) + 1
         degree[e.v] = degree.get(e.v, 0) + 1
-        rest ^= low
     for v, d in degree.items():
         if d & 1:
             raise ValueError(f"vertex {v} has odd degree; not a cycle-space member")

@@ -24,8 +24,8 @@ the certificate as they stand.
 Each support vector S_i carries a parity row P_i: bit j of P_i is the
 inner product of the j-th cycle of the weight-sorted tight list with
 S_i.  The rows start as "the tight cycles containing non-tree edge i",
-built in one pass that peels the non-tree bits of each tight mask, and
-every ``S_j ^= S_k`` goes with ``P_j ^= P_k``.  The lightest tight cycle
+built by ``gf2.bit_indices`` from the non-tree bits of each tight mask,
+and every ``S_j ^= S_k`` goes with ``P_j ^= P_k``.  The lightest tight cycle
 odd against S_i is then the lowest set bit of P_i, and an inner product
 is one bit of a row, so the engines take no popcount over edge masks.
 ``depina`` also keeps the rows' transpose, one column per tight cycle,
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InfeasibleSupportError, InternalInvariantError
-from .gf2 import Gf2Vector, SpanTracker
+from .gf2 import Gf2Vector, SpanTracker, bit_indices
 from .graph import Cycle, Graph, cyclomatic_number, spanning_forest
 from .tight import TightCycleSet, enumerate_tight_cycles
 
@@ -140,18 +140,13 @@ def _support_basis(
     tcs = _tight_set(g, tight)
     nontree = spanning_forest(g)[1]
     support = [1 << e for e in nontree]
-    row_of = [-1] * g.m  # row of each non-tree edge; tree edges get none
-    for k, e in enumerate(nontree):
-        row_of[e] = k
+    row_of = {e: k for k, e in enumerate(nontree)}  # parity row of each non-tree edge
     nontree_mask = sum(support)
     parity = [0] * len(nontree)  # bit j set when tight cycle j holds the edge
     bit = 1
     for c in tcs.cycles:
-        rest = c.mask & nontree_mask
-        while rest:
-            low = rest & -rest
-            parity[row_of[low.bit_length() - 1]] |= bit
-            rest ^= low
+        for e in bit_indices(c.mask & nontree_mask):
+            parity[row_of[e]] |= bit
         bit <<= 1
     cycles: list[Cycle] = []
 
@@ -180,27 +175,18 @@ def _depina_update(
     col = [0] * max((row.bit_length() for row in parity), default=0)
     for j, row in enumerate(parity):
         bit = 1 << j
-        while row:
-            low = row & -row
-            col[low.bit_length() - 1] |= bit
-            row ^= low
+        for p in bit_indices(row):
+            col[p] |= bit
     for i in range(len(support)):
         p = pick(i)
         s, row = support[i], parity[i]
-        hits = col[p] >> (i + 1)  # the later rows odd against the pick
-        if hits:
-            rows = hits << (i + 1)
-            bits = row
-            while bits:
-                low = bits & -bits
-                col[low.bit_length() - 1] ^= rows
-                bits ^= low
-            while hits:
-                low = hits & -hits
-                j = i + low.bit_length()
+        rows = col[p] >> (i + 1) << (i + 1)  # the later rows odd against the pick
+        if rows:
+            for q in bit_indices(row):
+                col[q] ^= rows
+            for j in bit_indices(rows):
                 support[j] ^= s
                 parity[j] ^= row
-                hits ^= low
         col[p] = parity[i] = 0  # no later step reads either
 
 
@@ -224,24 +210,22 @@ def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
 def _kavitha_update(
     support: list[int], parity: list[int], pick: Callable[[int], int]
 ) -> None:
-    chosen = [0] * len(support)  # bit j for tight cycle j picked at each step
+    chosen = [0] * len(support)  # tight-list position picked at each step
 
     def solve(lo: int, u: int) -> None:
         if lo == u:
-            chosen[lo] = 1 << pick(lo)
+            chosen[lo] = pick(lo)
             return
         q = (lo + u) // 2
         solve(lo, q)
         # block row r of vector j is bit chosen[lo + r] of parity[j]
         place = {chosen[lo + r]: 1 << r for r in range(q + 1 - lo)}
-        sel = sum(place)  # distinct single bits, so the sum is their OR
+        sel = sum(1 << p for p in place)  # the picks are distinct
 
         def block_row(j: int) -> int:
-            bits, row = parity[j] & sel, 0
-            while bits:
-                low = bits & -bits
-                row |= place[low]
-                bits ^= low
+            row = 0
+            for p in bit_indices(parity[j] & sel):
+                row |= place[p]
             return row
 
         # column c has bit c set and no lower bit, so clearing a row from

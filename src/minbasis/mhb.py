@@ -11,12 +11,13 @@ cycle list they scan: all tight cycles, or a minimum cycle basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InternalInvariantError
 from .gf2 import SpanTracker
 from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number
 from .mcb import ENGINES, earliest_cycles
-from .simplicial import SimplicialComplex, boundary_matrix, skeleton
+from .simplicial import SimplicialComplex, skeleton
 from .tight import enumerate_tight_cycles
 
 
@@ -33,22 +34,26 @@ class HomologyBasisReport:
         return tuple(sorted(c.base for c in self.cycles))
 
 
+def _boundary_elimination(k: SimplicialComplex) -> tuple[SpanTracker, list[int]]:
+    """Elimination seeded with the boundary masks, and the triangles it kept."""
+    tracker = SpanTracker()
+    return tracker, [t for t, bits in enumerate(k._boundary_masks) if tracker.add(bits)]
+
+
 def _profile_basis(
-    k: SimplicialComplex, g: Graph, cycle_columns: list[Cycle], engine: str
+    k: SimplicialComplex, g: Graph, cycle_columns: Callable[[], list[Cycle]], engine: str
 ) -> HomologyBasisReport:
-    """Rank profile of the boundary columns, then of ``cycle_columns``.
+    """Rank profile of the boundary columns, then of ``cycle_columns()``.
 
     ``g`` is the 1-skeleton; the scan stops once the rank reaches its
     cycle rank, and the kept cycles must number cycle rank minus boundary
-    rank, that is beta1.
+    rank, that is beta1.  When beta1 is 0 the basis is empty and
+    ``cycle_columns`` is never called, so no cycle list is built.
     """
     cycle_rank = cyclomatic_number(g)
-    tracker = SpanTracker()
-    boundary_sel = [
-        t for t, col in enumerate(boundary_matrix(k, 2).columns) if tracker.add(col.bits)
-    ]
-    chosen = earliest_cycles(tracker, cycle_columns, cycle_rank)
+    tracker, boundary_sel = _boundary_elimination(k)
     beta1 = cycle_rank - len(boundary_sel)
+    chosen = earliest_cycles(tracker, cycle_columns(), cycle_rank) if beta1 else []
     if len(chosen) != beta1:
         raise InternalInvariantError(
             f"rank profile split selected {len(chosen)} cycle columns; expected "
@@ -61,7 +66,7 @@ def _profile_basis(
 def mhb_tight(k: SimplicialComplex) -> HomologyBasisReport:
     """Rank profile of the boundary columns followed by all tight cycles."""
     g = skeleton(k)
-    return _profile_basis(k, g, enumerate_tight_cycles(g).cycles, "tight")
+    return _profile_basis(k, g, lambda: enumerate_tight_cycles(g).cycles, "tight")
 
 
 def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> HomologyBasisReport:
@@ -71,8 +76,8 @@ def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> HomologyB
     except KeyError:
         raise ValueError(f"unknown mcb engine {mcb_engine!r}") from None
     g = skeleton(k)
-    columns = sorted(engine(g).cycles, key=lambda c: (c.base, c.mask))
-    return _profile_basis(k, g, columns, "via_mcb")
+    by_weight = lambda: sorted(engine(g).cycles, key=lambda c: (c.base, c.mask))
+    return _profile_basis(k, g, by_weight, "via_mcb")
 
 
 def _check_cycle(g: Graph, z: Cycle, name: str) -> None:
@@ -90,7 +95,4 @@ def homologous(k: SimplicialComplex, z1: Cycle, z2: Cycle) -> bool:
     g = skeleton(k)
     _check_cycle(g, z1, "z1")
     _check_cycle(g, z2, "z2")
-    tracker = SpanTracker()
-    for col in boundary_matrix(k, 2).columns:
-        tracker.add(col.bits)
-    return not tracker.add(z1.mask ^ z2.mask)
+    return not _boundary_elimination(k)[0].add(z1.mask ^ z2.mask)

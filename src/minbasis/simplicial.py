@@ -26,7 +26,7 @@ class SimplicialComplex:
     edges raise one ``ValueError("invalid complex: ...")`` naming each in
     input order, duplicate edges first.  The same pass, which looks up
     each triangle's three edges, keeps the triangle's boundary as an edge
-    bit mask for ``boundary_matrix``.
+    bit mask for ``boundary_matrix`` and the MHB boundary elimination.
     """
 
     n: int

@@ -68,6 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .gf2 import bit_indices
 from .graph import AllPairs, Cycle, Graph, PerturbedWeight
 from .graph import Adjacency, shortest_path_keys
 
@@ -135,7 +136,10 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     the current root as its lowest vertex and is stored with count 1; any
     other candidate only increments a mask already present.  A mask is
     kept when its count equals its edge count.  No tie list is kept after
-    it is counted.
+    it is counted.  A cycle that every vertex but one generates is already
+    tight, since each pair of its vertices holds a generator whose root
+    path to the other lies on it; so no count stops one short of its edge
+    count, and a test against edge count - 1 would keep the same masks.
 
     Non-geodesic edges never enter the adjacency or the scan when
     ``_two_hop_detours`` flags them, and leave both when a root's kernel
@@ -348,9 +352,9 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     xy once: (a) it lies on no shortest path, so no key changes; (b)
     P(x, y) + xy is its only tight cycle; (c) that cycle is never also
     kept by count, since xy, its joining edge at every vertex, has left
-    the scan; (d) cycles of geodesic edges keep their exact counts.  One
-    pass over each kept mask's bits sums its weight and maps it back to
-    the original edge indices.  The merged list is sorted by (weight, edge
+    the scan; (d) cycles of geodesic edges keep their exact counts.  Each
+    kept mask is decoded once by ``bit_indices``, for its weight and its
+    original edge indices.  The merged list is sorted by (weight, edge
     bit set), so the root order that decides insertion and detection does
     not show in the output.  ``pairs`` is accepted for existing callers
     and ignored.
@@ -362,11 +366,8 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
         edges = [(local[e.u], local[e.v], e.w) for e in (g.edges[i] for i in block)]
         for mask in _block_tight_masks(len(verts), edges):
             base = lifted = 0
-            while mask:
-                low = mask & -mask
-                i = low.bit_length() - 1
+            for i in bit_indices(mask):
                 base += edges[i][2]
                 lifted |= 1 << block[i]
-                mask ^= low
             keys.append((base, lifted))
     return TightCycleSet(_sorted_cycles(g.m, keys), sum(mask.bit_count() for _, mask in keys))

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from minbasis import gf2
 from minbasis.gf2 import (
     Gf2Matrix,
     Gf2Vector,
     SpanTracker,
+    bit_indices,
     column_rank_profile,
     inner_product,
     rank,
@@ -38,9 +40,16 @@ IDENTITY3 = Gf2Matrix.from_bit_columns(3, [0b001, 0b010, 0b100])
 
 def test_vector_round_trips():
     v = Gf2Vector(6, 0b101001)
-    assert v.indices() == (0, 3, 5)
-    assert Gf2Vector(6, sum(1 << i for i in v.indices())) == v
-    assert Gf2Vector(6, 0).indices() == ()
+    assert bit_indices(v.bits) == [0, 3, 5]
+    assert Gf2Vector(6, sum(1 << i for i in bit_indices(v.bits))) == v
+    # both decoder branches: peeling up to the threshold, one scan above it
+    rng = random.Random(16)
+    cases = [0, 1, 1 << 99_999]
+    for k in (gf2._PEEL_MAX - 1, gf2._PEEL_MAX, gf2._PEEL_MAX + 1):
+        cases += [(1 << k) - 1, sum(1 << i for i in rng.sample(range(3000), k))]
+    cases.append(rng.getrandbits(40_000) | 1 << 39_999)
+    for bits in cases:
+        assert bit_indices(bits) == [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def test_rank_identity():

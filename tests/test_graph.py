@@ -277,6 +277,11 @@ def test_cycle_from_mask_rejects_odd_degree():
     assert c.weight == PerturbedWeight(3, 0b111)
     with pytest.raises(ValueError, match="edge mask out of range"):
         cycle_from_mask(g, 0b1111)
+    # a 40,000-edge ring decodes to every edge index with the right weight
+    n = 40_000
+    ring = Graph(n, [(i, (i + 1) % n, i % 3) for i in range(n)])
+    c = cycle_from_mask(ring, (1 << n) - 1)
+    assert c.base == sum(i % 3 for i in range(n)) and c.edge_indices() == tuple(range(n))
 
 
 def test_parse_round_trip_and_errors():

@@ -43,11 +43,38 @@ def test_no_triangles_equals_mcb():
     assert via.boundary_profile == ()
 
 
-def test_filled_triangle_empty_basis():
+def _filled_grid_disk(side: int) -> SimplicialComplex:
+    """A side x side vertex grid, every square split into two triangles."""
+    edges, triangles = [], []
+    for i in range(side):
+        for j in range(side):
+            v = i * side + j
+            if j + 1 < side:
+                edges.append(Edge(v, v + 1, 1))
+            if i + 1 < side:
+                edges.append(Edge(v, v + side, 1))
+            if i + 1 < side and j + 1 < side:
+                edges.append(Edge(v, v + side + 1, 1))
+                triangles += [(v, v + 1, v + side + 1), (v, v + side, v + side + 1)]
+    return SimplicialComplex(side * side, tuple(edges), tuple(triangles))
+
+
+def test_filled_triangle_empty_basis(monkeypatch):
     for engine in (mhb_tight, mhb_via_mcb):
         report = engine(filled_triangle())
         assert report.cycles == [] and report.total_weight == 0
         assert report.boundary_profile == (0,)
+
+    # beta1 = 0 is known from the boundary rank, so no engine runs the kernel
+    def no_kernel(adj, root):
+        raise AssertionError("shortest-path kernel run for a complex with beta1 = 0")
+
+    monkeypatch.setattr("minbasis.tight.shortest_path_keys", no_kernel)
+    disk = _filled_grid_disk(15)
+    assert disk.n2 == 392 and homology_profile(disk).beta1 == 0
+    for report in (mhb_tight(disk), mhb_via_mcb(disk), mhb_via_mcb(disk, "kavitha")):
+        assert report.cycles == [] and report.total_weight == 0
+        assert report.boundary_profile == tuple(range(392))
 
 
 def test_torus_two_triangles_weight_six():

@@ -11,6 +11,7 @@ from minbasis.fixtures import (
     random_complex,
     torus_seven,
 )
+from minbasis.gf2 import bit_indices
 from minbasis.graph import Edge, cycle_from_mask
 from minbasis.simplicial import (
     SimplicialComplex,
@@ -83,7 +84,7 @@ def test_boundary_composition_is_zero():
         for t, col in zip(k.triangles, d2.columns):
             # d1 of the column is zero: cycle_from_mask rejects odd degrees
             assert cycle_from_mask(g, col.bits).edge_count() == 3
-            assert {x for i in col.indices() for x in g.edges[i][:2]} == set(t)
+            assert {x for i in bit_indices(col.bits) for x in g.edges[i][:2]} == set(t)
 
 
 def test_homology_profiles():
