@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalInvariantError
-from .gf2 import SpanTracker
 from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number
 from .mcb import ENGINES, earliest_cycles
-from .simplicial import SimplicialComplex, skeleton
+from .simplicial import SimplicialComplex, _boundary_elimination, skeleton
 from .tight import enumerate_tight_cycles
 
 
@@ -32,12 +31,6 @@ class HomologyBasisReport:
 
     def weight_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(c.base for c in self.cycles))
-
-
-def _boundary_elimination(k: SimplicialComplex) -> tuple[SpanTracker, list[int]]:
-    """Elimination seeded with the boundary masks, and the triangles it kept."""
-    tracker = SpanTracker()
-    return tracker, [t for t, bits in enumerate(k._boundary_masks) if tracker.add(bits)]
 
 
 def _profile_basis(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .gf2 import Gf2Matrix, rank
+from .gf2 import Gf2Matrix, SpanTracker
 from .graph import MAX_WEIGHT, Edge, Graph, component_count, parse_ints
 
 
@@ -22,11 +22,11 @@ class SimplicialComplex:
     """Vertices ``0..n-1``, indexed weighted edges, and triangles.
 
     Construction builds the 1-skeleton once, and ``Graph`` checks the
-    vertex count and the edges.  Duplicate simplices and missing triangle
-    edges raise one ``ValueError("invalid complex: ...")`` naming each in
-    input order, duplicate edges first.  The same pass, which looks up
-    each triangle's three edges, keeps the triangle's boundary as an edge
-    bit mask for ``boundary_matrix`` and the MHB boundary elimination.
+    vertex count and the edges.  A triangle's one rule is that its edges
+    exist (``Graph`` takes no edge out of range or on one vertex twice).
+    Duplicate simplices and missing triangle edges raise one
+    ``ValueError("invalid complex: ...")`` naming each in input order,
+    duplicate edges first; the same pass keeps each boundary as a mask.
     """
 
     n: int
@@ -45,12 +45,8 @@ class SimplicialComplex:
         canon_tris = []
         masks = []
         seen_t: set[tuple[int, int, int]] = set()
-        for idx, t in enumerate(self.triangles):
+        for t in self.triangles:
             a, b, c = t = tuple(sorted(t))
-            if not 0 <= a < self.n or c >= self.n:
-                raise ValueError(f"triangle {idx}: vertex out of range")
-            if a == b or b == c:
-                raise ValueError(f"triangle {idx}: vertices must be distinct")
             if t in seen_t:
                 violations.append(f"duplicate triangle ({a}, {b}, {c})")
             seen_t.add(t)
@@ -107,11 +103,17 @@ def boundary_matrix(k: SimplicialComplex, p: int) -> Gf2Matrix:
     return Gf2Matrix.from_bit_columns(k.m, k._boundary_masks)
 
 
+def _boundary_elimination(k: SimplicialComplex) -> tuple[SpanTracker, list[int]]:
+    """Elimination seeded with the boundary masks, and the triangles it kept."""
+    tracker = SpanTracker()
+    return tracker, [t for t, bits in enumerate(k._boundary_masks) if tracker.add(bits)]
+
+
 def homology_profile(k: SimplicialComplex) -> HomologyProfile:
-    """Betti numbers from the ranks of the boundary matrices."""
+    """Betti numbers from the cycle rank and the boundary elimination's rank."""
     beta0 = component_count(skeleton(k))
     cycle_rank = k.m - k.n + beta0
-    boundary_rank = rank(boundary_matrix(k, 2))
+    boundary_rank = _boundary_elimination(k)[0].rank
     return HomologyProfile(beta0, cycle_rank - boundary_rank, boundary_rank, cycle_rank)
 
 

@@ -15,7 +15,7 @@ the tree contain a cycle), so the enumerator counts how often each edge
 set occurs and keeps those whose count equals their vertex count, which
 for a simple cycle is its edge count.  Roots run in increasing vertex
 order, so a cycle is first generated by its lowest vertex; only that
-root inserts it into the count table, and later roots increment a mask
+root, where ``path & done`` is 0, inserts it, and later roots increment a mask
 already there.  A mask its lowest vertex did not generate cannot be
 tight, so dropping it loses nothing.  Candidates come straight from the
 shortest-path kernel's tie masks: the tie mask of x is the edge set of
@@ -44,8 +44,10 @@ P(x, y).  Such edges leave both the kernel and the counting scan:
     it keeps its exact multiplicity.
 
 A cheap pre-test flags the edges that a parallel edge or a two-edge path
-beats before any root runs; each root then catches the non-geodesic
-edges among its own after its kernel run, which covers longer detours.
+beats, and keeps them out of the kernel.  Every edge's geodesy is tested
+once, at the root of its lower endpoint x: by (a) that root's ``tie[y]``
+is P(x, y), so xy is geodesic exactly when ``tie[y]`` is xy alone.  An
+edge that passes there is P(x, y), so a test at y could never fail.
 
 Every cycle lies inside one biconnected block (Horton, *A polynomial-time
 algorithm to find the shortest cycle basis of a graph*, SIAM J. Comput.
@@ -131,8 +133,8 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     cycle, because paths that met at a vertex other than the root would
     share the path up to it.  ``done`` is the union of the edges incident
     to the roots already run; a path's edges touch exactly its vertices,
-    so ``tie[x] & done`` is nonzero exactly when the root -> x path passes
-    an earlier root.  A candidate whose two paths pass no earlier root has
+    so ``path & done`` (``path`` = ``tie[x] | tie[y]``) is nonzero when either
+    path passes an earlier root.  A candidate whose two paths pass none has
     the current root as its lowest vertex and is stored with count 1; any
     other candidate only increments a mask already present.  A mask is
     kept when its count equals its edge count.  No tie list is kept after
@@ -141,12 +143,11 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     path to the other lies on it; so no count stops one short of its edge
     count, and a test against edge count - 1 would keep the same masks.
 
-    Non-geodesic edges never enter the adjacency or the scan when
-    ``_two_hop_detours`` flags them, and leave both when a root's kernel
-    run finds an incident edge (y, w, bit) with ``tie[y] != bit``.  Either
-    way the edge's one tight cycle ``tie[y] | bit`` is emitted at the root
-    of its lower endpoint (see the module docstring for why this keeps the
-    tight list exact).
+    Each edge (x, y) with x < y is tested once, flagged or not, at root x
+    (the module docstring says why once is enough): when ``tie[y] != bit``
+    it is non-geodesic and its one tight cycle ``tie[y] | bit`` is emitted.
+    An unflagged edge that fails then leaves the adjacency and the scan;
+    the edges ``_two_hop_detours`` flags never enter them.
     """
     if len(edges) == n:
         return [(1 << len(edges)) - 1]
@@ -154,14 +155,13 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     adj: Adjacency = [[] for _ in range(n)]
     scan: list[tuple[int, int, int]] = []
     incident = [0] * n
-    emit_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    tested_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     bit = 1
     for x, y, w in edges:
         incident[x] |= bit
         incident[y] |= bit
-        if detours & bit:
-            emit_at[min(x, y)].append((max(x, y), bit))
-        else:
+        tested_at[min(x, y)].append((max(x, y), w, bit))
+        if not detours & bit:
             adj[x].append((y, w, bit))
             adj[y].append((x, w, bit))
             scan.append((x, y, bit))
@@ -172,17 +172,16 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     done = 0
     for root in range(n):
         tie = shortest_path_keys(adj, root)[1]
-        kept += [tie[y] | bit for y, bit in emit_at[root]]
         dropped = 0
-        for y, w, bit in adj[root]:
+        for y, w, bit in tested_at[root]:
             if tie[y] != bit:
                 kept.append(tie[y] | bit)
-                dropped |= bit
-                adj[y].remove((root, w, bit))
+                if not detours & bit:  # flagged edges never entered adj or scan
+                    dropped |= bit
+                    adj[y].remove((root, w, bit))
         if dropped:
             adj[root] = [a for a in adj[root] if not a[2] & dropped]
             scan = [s for s in scan if not s[2] & dropped]
-        late = [t & done for t in tie]  # nonzero: the path passes an earlier root
         for x, y, bit in scan:
             tx, ty = tie[x], tie[y]
             if tx & ty:
@@ -191,7 +190,7 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
             if path & bit:
                 continue
             mask = path | bit
-            if late[x] or late[y]:
+            if path & done:  # the path passes an earlier root
                 c = get(mask)
                 if c is not None:
                     counts[mask] = c + 1
@@ -281,12 +280,13 @@ def is_tight(cycle: Cycle, pairs: AllPairs) -> bool:
 def _cyclic_blocks(g: Graph) -> list[list[int]]:
     """Sorted edge indices of each biconnected block with at least two edges.
 
-    Iterative Tarjan lowpoint search in O(n + m).  A DFS step skips the
-    edge it arrived by, not the vertex it came from, so a parallel edge
-    back to the parent counts as a back edge and parallel pairs form a
-    block.  Edges are pushed on a stack as they are explored; when a
-    child's lowpoint does not reach above its parent, the edges down to
-    the tree edge into that child are one block.
+    Iterative Tarjan lowpoint search in O(n + m), started only from
+    vertices on some edge.  A DFS step skips the edge it arrived by, not
+    the vertex it came from, so a parallel edge back to the parent counts
+    as a back edge and parallel pairs form a block.  Edges are pushed on a
+    stack as they are explored; when a child's lowpoint does not reach
+    above its parent, the edges down to the tree edge into that child are
+    one block.
     """
     edges = g.edges
     disc = [0] * g.n  # discovery time, 0 = unvisited
@@ -295,8 +295,8 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
     edge_stack: list[int] = []
     blocks: list[list[int]] = []
     for start in range(g.n):
-        if disc[start]:
-            continue
+        if disc[start] or not g.incident(start):
+            continue  # visited, or on no edge and so in no block
         clock += 1
         disc[start] = low[start] = clock
         # frames: (vertex, index of the tree edge into it, incident-edge iterator)

@@ -179,6 +179,11 @@ def test_closure_violation_and_auto_close(tmp_path):
     assert json.loads(out)["beta1"] == 0
     code, out, _ = run_cli(["betti", str(path), "--auto-close"])
     assert code == 0 and out == "beta0=1 beta1=0\n"
+    # the parser rejects a degenerate triangle by line before any closing
+    path.write_text("complex 3\ns 1 0 1 5\ns 2 0 1 1\n")
+    for extra in ([], ["--auto-close"]):
+        code, out, err = run_cli(["mhb", str(path), *extra])
+        assert (code, out, err) == (1, "", "error: line 3: degenerate triangle\n")
 
 
 @pytest.mark.parametrize("argv", [["mhb"], ["betti"], ["oracle", "mhb"]], ids=" ".join)

@@ -62,12 +62,17 @@ def seeded_multigraphs(seed, count):
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 0, 1)])  # self-loop
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 3, 1)])  # out of range
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1, -1)])  # negative weight
+    for n, edges, message in (
+        (-1, [], "vertex count must be non-negative"),
+        (3, [(0, 1, 1), (0, 0, 1)], "edge 1: self-loops are not allowed"),
+        (3, [(0, 3, 1)], "edge 0: endpoint out of range"),
+        (3, [(-1, 2, 1)], "edge 0: endpoint out of range"),
+        (3, [(0, 1, -1)], "edge 0: weight must be in [0, 2^63-1]"),
+        (3, [(0, 1, MAX_WEIGHT + 1)], "edge 0: weight must be in [0, 2^63-1]"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == message
     g = Graph(3, [(0, 1, 2), (0, 1, 5)])  # parallel edges allowed
     assert g.m == 2
     assert g.incident(0) == (0, 1)
@@ -290,18 +295,27 @@ def test_parse_round_trip_and_errors():
     g2 = parse_graph(text)
     assert g2.n == 3 and [tuple(e) for e in g2.edges] == [(0, 1, 2), (1, 2, 3)]
 
-    with pytest.raises(ParseError, match="line 1"):
-        parse_graph("nonsense 1 2\n")
-    with pytest.raises(ParseError, match="line 2"):
-        parse_graph("graph 2 1\ne 0 2 1\n")
-    with pytest.raises(ParseError, match="line 3"):
-        parse_graph("graph 2 1\n# fine\ne 0 1 -2\n")
-    with pytest.raises(ParseError, match="expected 1 edges"):
-        parse_graph("graph 2 1\n")
-    with pytest.raises(ParseError, match="line 3"):
-        parse_graph("graph 2 1\ne 0 1 1\ne 1 0 1\n")
-    with pytest.raises(ParseError, match="self-loop"):
-        parse_graph("graph 2 1\ne 1 1 1\n")
+    # every message parse_graph raises, word for word
+    for text, message in (
+        ("nonsense 1 2\n", "line 1: expected header 'graph <n> <m>'"),
+        ("\n# c\ngraph 2\n", "line 3: expected header 'graph <n> <m>'"),
+        ("graph x 1\n", "line 1: non-integer header field"),
+        ("graph 2 -1\n", "line 1: negative count in header"),
+        ("graph 2 1\nf 0 1 1\n", "line 2: expected 'e <u> <v> <w>'"),
+        ("graph 2 1\ne 0 1\n", "line 2: expected 'e <u> <v> <w>'"),
+        ("graph 2 1\ne 0 x 1\n", "line 2: non-integer edge field"),
+        ("graph 2 1\ne 0 2 1\n", "line 2: endpoint out of range [0, 2)"),
+        ("graph 2 1\ne -1 1 1\n", "line 2: endpoint out of range [0, 2)"),
+        ("graph 2 1\ne 1 1 1\n", "line 2: self-loop not allowed"),
+        ("graph 2 1\n# fine\ne 0 1 -2\n", "line 3: weight out of range"),
+        (f"graph 2 1\ne 0 1 {MAX_WEIGHT + 1}\n", "line 2: weight out of range"),
+        ("graph 2 1\ne 0 1 1\ne 1 0 1\n", "line 3: more than 1 edges declared"),
+        ("# only comments\n", "line 1: missing 'graph <n> <m>' header"),
+        ("graph 2 1\n", "expected 1 edges, found 0"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
 
 
 # int() alone reads each of these: an underscore separator, Arabic-Indic

@@ -12,7 +12,7 @@ from minbasis.fixtures import (
 )
 from minbasis.gf2 import Gf2Matrix, rank
 from minbasis.graph import Cycle, Edge, apsp, cycle_from_mask
-from minbasis.mcb import mcb_earliest
+from minbasis.mcb import ENGINES, mcb_earliest
 from minbasis.mhb import homologous, mhb_tight, mhb_via_mcb
 from minbasis.oracle import brute_mhb
 from minbasis.simplicial import (
@@ -119,6 +119,10 @@ def test_engine_agreement_on_random_complexes():
             == oracle_report.weight_multiset()
         )
         assert len(a.cycles) == homology_profile(k).beta1
+        # the MCB is unique under the tie-broken order, and each tight cycle
+        # the tight scan keeps lies in it, so both scans keep the same cycles
+        chosen = [c.mask for c in a.cycles]
+        assert all([c.mask for c in mhb_via_mcb(k, e).cycles] == chosen for e in ENGINES)
 
 
 def test_via_mcb_cycles_come_from_the_mcb_and_tight_set():

@@ -12,7 +12,7 @@ from minbasis.fixtures import (
     torus_seven,
 )
 from minbasis.gf2 import bit_indices
-from minbasis.graph import Edge, cycle_from_mask
+from minbasis.graph import MAX_WEIGHT, Edge, cycle_from_mask
 from minbasis.simplicial import (
     SimplicialComplex,
     boundary_matrix,
@@ -28,12 +28,26 @@ def test_constructor_canonicalizes_and_validates():
     k = SimplicialComplex(3, (Edge(1, 0, 2), Edge(2, 1, 1), Edge(0, 2, 1)), ((2, 0, 1),))
     assert k.edges[0] == Edge(0, 1, 2)
     assert k.triangles[0] == (0, 1, 2)
-    with pytest.raises(ValueError):
-        SimplicialComplex(3, (Edge(0, 3, 1),), ())
-    with pytest.raises(ValueError):
-        SimplicialComplex(3, (Edge(1, 1, 1),), ())
-    with pytest.raises(ValueError):
-        SimplicialComplex(3, (), ((0, 1, 1),))
+    triangle = (Edge(0, 1, 1), Edge(1, 2, 1), Edge(0, 2, 1))
+    # the messages of Graph's checks, and of triangles on a vertex out of
+    # range or on one vertex twice, which no edge can join
+    for n, edges, tris, message in (
+        (-1, (), (), "vertex count must be non-negative"),
+        (3, (Edge(0, 3, 1),), (), "edge 0: endpoint out of range"),
+        (3, (Edge(1, 1, 1),), (), "edge 0: self-loops are not allowed"),
+        (3, (Edge(0, 1, -1),), (), "edge 0: weight must be in [0, 2^63-1]"),
+        (
+            3,
+            triangle,
+            ((0, 1, 3),),
+            "invalid complex: triangle (0, 1, 3) is missing edge (0, 3); "
+            "triangle (0, 1, 3) is missing edge (1, 3)",
+        ),
+        (3, triangle, ((0, 1, 1),), "invalid complex: triangle (0, 1, 1) is missing edge (1, 1)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            SimplicialComplex(n, edges, tris)
+        assert str(exc.value) == message
 
 
 def test_construction_rejects_invalid_complexes():
@@ -149,16 +163,34 @@ def test_parse_round_trip():
 
 
 def test_parse_errors_with_line_numbers():
-    with pytest.raises(ParseError, match="line 1"):
-        parse_complex("graph 3 3\n")
-    with pytest.raises(ParseError, match="line 2"):
-        parse_complex("complex 3\ns 1 0 0 1\n")
-    with pytest.raises(ParseError, match="line 2.*dimension 3"):
-        parse_complex("complex 4\ns 3 0 1 2 3\n")
-    with pytest.raises(ParseError, match="line 3"):
-        parse_complex("complex 3\ns 1 0 1 1\ns 2 0 1\n")
-    with pytest.raises(ParseError, match="missing 'complex"):
-        parse_complex("# only comments\n")
+    # every message parse_complex raises, word for word
+    for text, message in (
+        ("graph 3 3\n", "line 1: expected header 'complex <n>'"),
+        ("\ncomplex\n", "line 2: expected header 'complex <n>'"),
+        ("complex x\n", "line 1: non-integer vertex count"),
+        ("complex -1\n", "line 1: negative vertex count"),
+        ("complex 3\ne 0 1 1\n", "line 2: expected 's <dim> ...'"),
+        ("complex 3\ns\n", "line 2: expected 's <dim> ...'"),
+        ("complex 3\ns 1 0 x 1\n", "line 2: non-integer field"),
+        ("complex 3\ns 1 0 1\n", "line 2: expected 's 1 <u> <v> <w>'"),
+        ("complex 3\ns 1 0 3 1\n", "line 2: vertex out of range [0, 3)"),
+        ("complex 3\ns 1 -1 0 1\n", "line 2: vertex out of range [0, 3)"),
+        ("complex 3\ns 1 0 0 1\n", "line 2: degenerate edge"),
+        ("complex 3\ns 1 0 1 -1\n", "line 2: weight out of range"),
+        (f"complex 3\ns 1 0 1 {MAX_WEIGHT + 1}\n", "line 2: weight out of range"),
+        ("complex 3\ns 1 0 1 1\ns 2 0 1\n", "line 3: expected 's 2 <a> <b> <c>'"),
+        ("complex 3\ns 2 0 1 3\n", "line 2: vertex out of range [0, 3)"),
+        ("complex 3\ns 2 -1 0 1\n", "line 2: vertex out of range [0, 3)"),
+        ("complex 3\ns 2 0 1 1\n", "line 2: degenerate triangle"),
+        ("complex 3\ns 2 2 0 2\n", "line 2: degenerate triangle"),
+        ("complex 4\ns 3 0 1 2 3\n", "line 2: simplex dimension 3 not supported (only 1 and 2)"),
+        ("complex 4\ns 0 1\n", "line 2: simplex dimension 0 not supported (only 1 and 2)"),
+        ("# only comments\n", "line 1: missing 'complex <n>' header"),
+    ):
+        for auto_close in (False, True):
+            with pytest.raises(ParseError) as exc:
+                parse_complex(text, auto_close=auto_close)
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("field", ("1_0", "\u0663", "\uff13", "\u0967"))

@@ -378,11 +378,21 @@ def test_non_geodesic_edge_lies_in_exactly_one_tight_cycle():
     assert non_geodesic > flagged > 0  # both detection paths are exercised
 
 
-def test_detour_of_three_edges_is_emitted_once():
+def test_detour_of_three_edges_is_emitted_once(monkeypatch):
     # Only the unit path 0-1-2-3 beats the edge (0, 3) of weight 10, so the
-    # 2-hop pre-test misses it and root 0 must catch it after its kernel run.
+    # 2-hop pre-test misses it and root 0 must catch it after its kernel run;
+    # it then leaves the kernel runs of the later roots.
+    seen = []
+
+    def recording_kernel(adj, root):
+        seen.append(any(bit == 0b1000 for row in adj for _, _, bit in row))
+        return shortest_path_keys(adj, root)
+
+    monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     g = Graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10), (0, 4, 1), (1, 4, 1)])
     assert _two_hop_detours(g.n, g.edges) == 0
+    enumerate_tight_cycles(g)
+    assert seen == [True, False, False, False, False]
     detour_cycle = 0b1111
     rng = random.Random(2016)
     for h in (g, _relabeled(g, rng), _relabeled(g, rng)):
@@ -441,7 +451,9 @@ def test_enumerate_runs_dijkstra_only_inside_cyclic_blocks(monkeypatch):
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", counting_kernel)
     path = path_graph(50)
     k4_tail = [(u, v, 1) for u in range(49, 53) for v in range(u + 1, 53)]
-    g = Graph(53, [*path.edges, *k4_tail])  # unit K4 at the end: every edge geodesic
+    # unit K4 at the end: every edge geodesic; vertices 0-2 and 56-59 lie
+    # on no edge and join no block
+    g = Graph(60, [(u + 3, v + 3, w) for u, v, w in [*path.edges, *k4_tail]])
     tcs = enumerate_tight_cycles(g)
     triangles = [(49, 50, 52), (49, 51, 53), (50, 51, 54), (52, 53, 54)]
     assert sorted(c.edge_indices() for c in tcs.cycles) == triangles
