@@ -15,11 +15,11 @@ the tree contain a cycle), so the enumerator counts how often each edge
 set occurs and keeps those whose count equals their vertex count, which
 for a simple cycle is its edge count.  Roots run in increasing vertex
 order, so a cycle is first generated by its lowest vertex; only that
-root, where ``path & done`` is 0, inserts it, and later roots increment a mask
-already there.  A mask its lowest vertex did not generate cannot be
-tight, so dropping it loses nothing.  Candidates come straight from the
-shortest-path kernel's tie masks: the tie mask of x is the edge set of
-the root -> x path, and the two paths of a candidate meet only at the
+root, where ``path & done`` is 0, inserts it, and later roots increment
+a mask already there.  A mask its lowest vertex did not generate cannot
+be tight, so dropping it loses nothing.  Candidates come straight from
+the shortest-path kernel's tie masks: the tie mask of x is the edge set
+of the root -> x path, and the two paths of a candidate meet only at the
 root exactly when their edge masks are disjoint.  One root's masks are
 held at a time, never the all-pairs table.  ``is_tight`` is an
 independent checker from the all-pairs table: a cycle is tight exactly
@@ -133,15 +133,16 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     cycle, because paths that met at a vertex other than the root would
     share the path up to it.  ``done`` is the union of the edges incident
     to the roots already run; a path's edges touch exactly its vertices,
-    so ``path & done`` (``path`` = ``tie[x] | tie[y]``) is nonzero when either
-    path passes an earlier root.  A candidate whose two paths pass none has
-    the current root as its lowest vertex and is stored with count 1; any
-    other candidate only increments a mask already present.  A mask is
-    kept when its count equals its edge count.  No tie list is kept after
-    it is counted.  A cycle that every vertex but one generates is already
-    tight, since each pair of its vertices holds a generator whose root
-    path to the other lies on it; so no count stops one short of its edge
-    count, and a test against edge count - 1 would keep the same masks.
+    so ``path & done`` (``path`` = ``tie[x] | tie[y]``) is nonzero when
+    either path passes an earlier root.  A candidate whose two paths pass
+    none has the current root as its lowest vertex and is stored with
+    count 1; any other candidate only increments a mask already present.
+    A mask is kept when its count equals its edge count.  No tie list is
+    kept after it is counted.  A cycle that every vertex but one generates
+    is already tight, since each pair of its vertices holds a generator
+    whose root path to the other lies on it; so no count stops one short
+    of its edge count, and a test against edge count - 1 would keep the
+    same masks.
 
     Each edge (x, y) with x < y is tested once, flagged or not, at root x
     (the module docstring says why once is enough): when ``tie[y] != bit``

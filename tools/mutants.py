@@ -11,7 +11,6 @@ replaces it, and the expected outcome:
 Usage (stdlib only)::
 
     python tools/mutants.py            # run every mutant not gone
-    python tools/mutants.py NAME ...   # run the named mutants
     python tools/mutants.py --check    # only check the list against the tree
 
 A run copies the repository once into a temporary directory.  For each
@@ -84,7 +83,6 @@ def run_tests(tree: Path) -> tuple[bool, float]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
     parser.add_argument("--check", action="store_true", help="check the list, run nothing")
     args = parser.parse_args()
 
@@ -95,10 +93,7 @@ def main() -> int:
     if problems or args.check:
         print(f"{len(mutants)} mutants, {len(problems)} problems")
         return 1 if problems else 0
-    unknown = set(args.names) - {m["name"] for m in mutants}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    live = [m for m in mutants if m["expect"] != "gone" and (not args.names or m["name"] in args.names)]
+    live = [m for m in mutants if m["expect"] != "gone"]
 
     with tempfile.TemporaryDirectory(prefix="minbasis-mutants-") as tmp:
         tree = Path(tmp) / "repo"
