@@ -3,7 +3,8 @@
 A vector is a single Python integer carrying one bit per coordinate, so
 vector addition is a word-wide XOR and an inner product is a popcount.
 Python integers are unbounded, which makes the packing width-independent.
-``bit_indices`` is the one decoder from a vector to its set-bit positions.
+``bit_indices`` and ``bit_mask`` convert a vector to its set-bit positions
+and back, and ``transpose`` turns row vectors into column vectors.
 Matrices are ordered sequences of column vectors; the order matters
 because column rank profiles are defined over it.
 """
@@ -11,7 +12,7 @@ because column rank profiles are defined over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable, Sequence
 
 _PEEL_MAX = 256
 
@@ -37,6 +38,36 @@ def bit_indices(bits: int) -> list[int]:
         bits ^= 1 << top
     out.reverse()
     return out
+
+
+def bit_mask(indices: Collection[int]) -> int:
+    """The vector with the bits at ``indices`` set: ``bit_indices``' inverse.
+
+    Indices may come in any order and may repeat.  Setting one bit copies
+    the integer, so more than ``_PEEL_MAX`` indices are set in a byte
+    buffer that is read once, and building is linear in the mask's length.
+    """
+    if len(indices) <= _PEEL_MAX:
+        bits = 0
+        for i in indices:
+            bits |= 1 << i
+        return bits
+    buf = bytearray((max(indices) >> 3) + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The ``width`` columns of the bit matrix ``rows``: bit i of column j
+    is bit j of row i.  Every row must be below ``1 << width``."""
+    cols = [0] * width
+    bit = 1
+    for row in rows:
+        for j in bit_indices(row):
+            cols[j] |= bit
+        bit <<= 1
+    return cols
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ParseError
-from .gf2 import Gf2Vector, bit_indices
+from .gf2 import Gf2Vector, bit_indices, bit_mask
 
 #: Largest accepted edge weight.  Sums never overflow (Python integers are
 #: unbounded); the cap just keeps inputs inside a sane 64-bit range.
@@ -52,7 +52,7 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         self.n = n
         es: list[Edge] = []
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj: list = [()] * n  # a list from a vertex's first edge; the rest share ()
         for u, v, w in edges:
             idx = len(es)
             if not (0 <= u < n and 0 <= v < n):
@@ -62,10 +62,18 @@ class Graph:
             if not 0 <= w <= MAX_WEIGHT:
                 raise ValueError(f"edge {idx}: weight must be in [0, 2^63-1]")
             es.append(Edge(u, v, w))
-            adj[u].append(idx)
-            adj[v].append(idx)
+            a = adj[u]
+            if a:
+                a.append(idx)
+            else:
+                adj[u] = [idx]
+            a = adj[v]
+            if a:
+                a.append(idx)
+            else:
+                adj[v] = [idx]
         self.edges: tuple[Edge, ...] = tuple(es)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
@@ -215,9 +223,10 @@ def cyclomatic_number(g: Graph) -> int:
 
 def spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
     """Split edge indices into (tree, non-tree) by index-order union-find."""
-    parent = list(range(g.n))
+    parent: dict[int, int] = {}  # only vertices on some edge
 
     def find(x: int) -> int:
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -275,13 +284,13 @@ def fundamental_cycles(g: Graph) -> list[Cycle]:
     out = []
     for e_idx in nontree:
         e = g.edges[e_idx]
-        u, v, mask = e.u, e.v, 1 << e_idx
+        u, v, path = e.u, e.v, [e_idx]
         while u != v:
             if depth[u] < depth[v]:
                 u, v = v, u
-            mask |= 1 << parent[u]
+            path.append(parent[u])
             u = g.other_end(parent[u], u)
-        out.append(cycle_from_mask(g, mask))
+        out.append(cycle_from_mask(g, bit_mask(path)))
     return out
 
 

@@ -23,11 +23,12 @@ the certificate as they stand.
 
 Each support vector S_i carries a parity row P_i: bit j of P_i is the
 inner product of the j-th cycle of the weight-sorted tight list with
-S_i.  The rows start as "the tight cycles containing non-tree edge i",
-built by ``gf2.bit_indices`` from the non-tree bits of each tight mask,
-and every ``S_j ^= S_k`` goes with ``P_j ^= P_k``.  The lightest tight cycle
-odd against S_i is then the lowest set bit of P_i, and an inner product
-is one bit of a row, so the engines take no popcount over edge masks.
+S_i.  The rows start as "the tight cycles containing non-tree edge i":
+one ``gf2.transpose`` of the tight masks gives such a per-edge row for
+every edge, and the non-tree edges' rows are kept.  Every ``S_j ^= S_k``
+goes with ``P_j ^= P_k``.  The lightest tight cycle odd against S_i is
+then the lowest set bit of P_i, and an inner product is one bit of a
+row, so the engines take no popcount over edge masks.
 ``depina`` also keeps the rows' transpose, one column per tight cycle,
 so each step reads the vectors it must change off one column and no
 step scans every later row.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InfeasibleSupportError, InternalInvariantError
-from .gf2 import Gf2Vector, SpanTracker, bit_indices
+from .gf2 import Gf2Vector, SpanTracker, bit_indices, bit_mask, transpose
 from .graph import Cycle, Graph, cyclomatic_number, spanning_forest
 from .tight import TightCycleSet, enumerate_tight_cycles
 
@@ -140,14 +141,9 @@ def _support_basis(
     tcs = _tight_set(g, tight)
     nontree = spanning_forest(g)[1]
     support = [1 << e for e in nontree]
-    row_of = {e: k for k, e in enumerate(nontree)}  # parity row of each non-tree edge
-    nontree_mask = sum(support)
-    parity = [0] * len(nontree)  # bit j set when tight cycle j holds the edge
-    bit = 1
-    for c in tcs.cycles:
-        for e in bit_indices(c.mask & nontree_mask):
-            parity[row_of[e]] |= bit
-        bit <<= 1
+    holds = transpose([c.mask for c in tcs.cycles], g.m)  # the tight cycles holding each edge
+    parity = [holds[e] for e in nontree]
+    del holds  # so that the rows the update releases are freed
     cycles: list[Cycle] = []
 
     def pick(i: int) -> int:
@@ -172,11 +168,7 @@ def _depina_update(
 ) -> None:
     # col[p] has bit j set when parity[j] holds tight cycle p; it stays
     # exact for the rows after the current step, which are all it is read for
-    col = [0] * max((row.bit_length() for row in parity), default=0)
-    for j, row in enumerate(parity):
-        bit = 1 << j
-        for p in bit_indices(row):
-            col[p] |= bit
+    col = transpose(parity, max((row.bit_length() for row in parity), default=0))
     for i in range(len(support)):
         p = pick(i)
         s, row = support[i], parity[i]
@@ -220,7 +212,7 @@ def _kavitha_update(
         solve(lo, q)
         # block row r of vector j is bit chosen[lo + r] of parity[j]
         place = {chosen[lo + r]: 1 << r for r in range(q + 1 - lo)}
-        sel = sum(1 << p for p in place)  # the picks are distinct
+        sel = bit_mask(place)
 
         def block_row(j: int) -> int:
             row = 0

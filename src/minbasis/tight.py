@@ -70,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .gf2 import bit_indices
+from .gf2 import bit_indices, bit_mask
 from .graph import AllPairs, Cycle, Graph, PerturbedWeight
 from .graph import Adjacency, shortest_path_keys
 
@@ -281,13 +281,12 @@ def is_tight(cycle: Cycle, pairs: AllPairs) -> bool:
 def _cyclic_blocks(g: Graph) -> list[list[int]]:
     """Sorted edge indices of each biconnected block with at least two edges.
 
-    Iterative Tarjan lowpoint search in O(n + m), started only from
-    vertices on some edge.  A DFS step skips the edge it arrived by, not
-    the vertex it came from, so a parallel edge back to the parent counts
-    as a back edge and parallel pairs form a block.  Edges are pushed on a
-    stack as they are explored; when a child's lowpoint does not reach
-    above its parent, the edges down to the tree edge into that child are
-    one block.
+    Iterative Tarjan lowpoint search in O(n + m), started only from edge
+    endpoints.  A DFS step skips the edge it arrived by, not the vertex it
+    came from, so a parallel edge back to the parent counts as a back edge
+    and parallel pairs form a block.  Edges are pushed on a stack as they
+    are explored; when a child's lowpoint does not reach above its parent,
+    the edges down to the tree edge into that child are one block.
     """
     edges = g.edges
     disc = [0] * g.n  # discovery time, 0 = unvisited
@@ -295,9 +294,9 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
     clock = 0
     edge_stack: list[int] = []
     blocks: list[list[int]] = []
-    for start in range(g.n):
-        if disc[start] or not g.incident(start):
-            continue  # visited, or on no edge and so in no block
+    for start, _, _ in edges:
+        if disc[start]:
+            continue
         clock += 1
         disc[start] = low[start] = clock
         # frames: (vertex, index of the tree edge into it, incident-edge iterator)
@@ -355,10 +354,10 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     kept by count, since xy, its joining edge at every vertex, has left
     the scan; (d) cycles of geodesic edges keep their exact counts.  Each
     kept mask is decoded once by ``bit_indices``, for its weight and its
-    original edge indices.  The merged list is sorted by (weight, edge
-    bit set), so the root order that decides insertion and detection does
-    not show in the output.  ``pairs`` is accepted for existing callers
-    and ignored.
+    original edge indices, which ``bit_mask`` packs once.  The merged list
+    is sorted by (weight, edge bit set), so the root order that decides
+    insertion and detection does not show in the output.  ``pairs`` is
+    accepted for existing callers and ignored.
     """
     keys: list[tuple[int, int]] = []
     for block in _cyclic_blocks(g):
@@ -366,9 +365,9 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
         local = {v: i for i, v in enumerate(verts)}
         edges = [(local[e.u], local[e.v], e.w) for e in (g.edges[i] for i in block)]
         for mask in _block_tight_masks(len(verts), edges):
-            base = lifted = 0
+            base, lifted = 0, []
             for i in bit_indices(mask):
                 base += edges[i][2]
-                lifted |= 1 << block[i]
-            keys.append((base, lifted))
+                lifted.append(block[i])
+            keys.append((base, bit_mask(lifted)))
     return TightCycleSet(_sorted_cycles(g.m, keys), sum(mask.bit_count() for _, mask in keys))

@@ -11,9 +11,11 @@ from minbasis.gf2 import (
     Gf2Vector,
     SpanTracker,
     bit_indices,
+    bit_mask,
     column_rank_profile,
     inner_product,
     rank,
+    transpose,
 )
 
 
@@ -50,6 +52,14 @@ def test_vector_round_trips():
     cases.append(rng.getrandbits(40_000) | 1 << 39_999)
     for bits in cases:
         assert bit_indices(bits) == [i for i in range(bits.bit_length()) if bits >> i & 1]
+        assert bit_mask(bit_indices(bits)) == bits
+    assert bit_mask([]) == 0
+    # byte boundaries, out of order, in both builder branches
+    edge_bits = [16, 7, 15, 8]
+    assert bit_mask(edge_bits) == 1 << 7 | 1 << 8 | 1 << 15 | 1 << 16
+    many = edge_bits + list(range(1000, 1000 + gf2._PEEL_MAX))
+    rng.shuffle(many)
+    assert bit_mask(many) == bit_mask(edge_bits) | (1 << gf2._PEEL_MAX) - 1 << 1000
 
 
 def test_rank_identity():
@@ -111,6 +121,18 @@ def test_every_column_in_span_of_earliest_basis(m):
     for col in m.columns:
         assert not tracker.add(col.bits)  # already in the span of the profile
     assert tracker.rank == len(profile) == helpers.dense_rank(helpers.rows(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_transpose_swaps_rows_and_columns(m):
+    rows = [c.bits for c in m.columns]  # rows of width nrows
+    cols = transpose(rows, m.nrows)
+    assert len(cols) == m.nrows
+    assert all(
+        cols[j] >> i & 1 == rows[i] >> j & 1 for i in range(len(rows)) for j in range(m.nrows)
+    )
+    assert transpose(cols, len(rows)) == rows
 
 
 def test_inner_product_examples():

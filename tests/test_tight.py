@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -228,14 +229,29 @@ def test_enumerate_tree_empty():
     assert tcs.cycles == [] and tcs.total_length == 0
 
 
-@pytest.mark.parametrize("g", [path_graph(50), Graph(3000)], ids=["path50", "edgeless3000"])
-def test_enumerate_forest_runs_no_dijkstra(monkeypatch, g):
+@pytest.mark.parametrize(
+    "make",
+    [lambda: path_graph(50), lambda: Graph(3000), lambda: Graph(10**6)],
+    ids=["path50", "edgeless3000", "edgeless1000000"],
+)
+def test_enumerate_forest_runs_no_dijkstra(monkeypatch, make):
+    """A vertex on no edge allocates nothing of its own: at 10**6 vertices
+    the peak is the graph's incidence tuple and the block search's two
+    per-vertex lists, about 23 MiB."""
     def no_kernel(adj, root):
         raise AssertionError("shortest-path tree built for a forest")
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", no_kernel)
-    tcs = enumerate_tight_cycles(g)
-    assert tcs.cycles == [] and tcs.total_length == 0
+    tracemalloc.start()
+    try:
+        g = make()
+        nu = cyclomatic_number(g)
+        tcs = enumerate_tight_cycles(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nu == 0 and tcs.cycles == [] and tcs.total_length == 0
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_enumerate_petersen():
@@ -491,6 +507,10 @@ def test_enumerate_one_cycle_blocks_run_no_kernel(monkeypatch):
         (15, (51, 52, 53, 54, 55)),
     ]
     assert tcs.total_length == 8
+    # a 20,000-edge ring is one such block; its mask is built in one pass
+    n = 20_000
+    tcs = enumerate_tight_cycles(Graph(n, [(i, (i + 1) % n, 1) for i in range(n)]))
+    assert [(c.base, c.mask) for c in tcs.cycles] == [(n, (1 << n) - 1)]
 
 
 def test_enumerate_long_path_has_no_recursion_limit():
