@@ -20,7 +20,7 @@ from dataclasses import asdict
 from typing import Optional, TextIO
 
 from . import fixtures, oracle
-from .errors import InternalInvariantError, ParseError
+from .errors import InternalInvariantError
 from .graph import cyclomatic_number, load_graph, parse_ints
 from .mcb import ENGINES, BasisReport
 from .mhb import HomologyBasisReport, mhb_tight, mhb_via_mcb
@@ -288,9 +288,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         ns = build_parser().parse_args(argv)
         return ns.run(ns, out, err)
-    except (ParseError, CliUsageError) as exc:
-        err.write(f"error: {exc}\n")
-        return 1
     except InternalInvariantError as exc:
         err.write(f"internal error: {exc}\n")
         return 2

@@ -147,16 +147,9 @@ def random_graph_nm(
     return _tree_plus_edges(rng, n, lambda free: m - (n - 1), weights)
 
 
-def random_complex(
-    rng: random.Random,
-    min_n: int = 3,
-    max_n: int = 8,
-    max_extra: int = 5,
-    triangle_prob: float = 0.5,
-    weights: tuple[int, int] = (1, 8),
-) -> SimplicialComplex:
+def random_complex(rng: random.Random, min_n: int = 3, max_n: int = 8) -> SimplicialComplex:
     """Random graph plus a random subset of its filled-in triangles."""
-    g = random_connected_graph(rng, min_n, max_n, max_extra, weights)
+    g = random_connected_graph(rng, min_n, max_n, max_extra=5)
     present = {(e.u, e.v) for e in g.edges}
     triangles = []
     for a in range(g.n):
@@ -165,7 +158,7 @@ def random_complex(
                 continue
             for c in range(b + 1, g.n):
                 if (a, c) in present and (b, c) in present:
-                    if rng.random() < triangle_prob:
+                    if rng.random() < 0.5:
                         triangles.append((a, b, c))
     return SimplicialComplex(
         g.n, tuple(Edge(e.u, e.v, e.w) for e in g.edges), tuple(triangles)

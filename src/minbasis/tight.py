@@ -131,41 +131,44 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     (x,y) + path(y,v) is counted only when the two paths are edge-disjoint
     and the joining edge lies on neither; each such edge set is a simple
     cycle, because paths that met at a vertex other than the root would
-    share the path up to it.  ``done`` is the union of the edges incident
-    to the roots already run; a path's edges touch exactly its vertices,
-    so ``path & done`` (``path`` = ``tie[x] | tie[y]``) is nonzero when
-    either path passes an earlier root.  A candidate whose two paths pass
-    none has the current root as its lowest vertex and is stored with
-    count 1; any other candidate only increments a mask already present.
-    A mask is kept when its count equals its edge count.  No tie list is
-    kept after it is counted.  A cycle that every vertex but one generates
-    is already tight, since each pair of its vertices holds a generator
-    whose root path to the other lies on it; so no count stops one short
-    of its edge count, and a test against edge count - 1 would keep the
-    same masks.
+    share the path up to it.  ``done`` is the set of edges whose lower
+    endpoint is a root already run, gathered from each root's
+    ``tested_at`` edges after its scan.  Roots run in increasing order, so
+    an edge touches a root already run exactly when its lower endpoint is
+    one: ``done`` is the set of edges incident to those roots.  A path's
+    edges touch exactly its vertices, so ``path & done`` (``path`` =
+    ``tie[x] | tie[y]``) is nonzero when either path passes an earlier
+    root.  A candidate whose two paths pass none has the current root as
+    its lowest vertex and is stored with count 1; any other candidate only
+    increments a mask already present.  A mask is kept when its count
+    equals its edge count.  No tie list is kept after it is counted.  A
+    cycle that every vertex but one generates is already tight, since each
+    pair of its vertices holds a generator whose root path to the other
+    lies on it; so no count stops one short of its edge count, and a test
+    against edge count - 1 would keep the same masks.
 
     Each edge (x, y) with x < y is tested once, flagged or not, at root x
     (the module docstring says why once is enough): when ``tie[y] != bit``
     it is non-geodesic and its one tight cycle ``tie[y] | bit`` is emitted.
-    An unflagged edge that fails then leaves the adjacency and the scan;
-    the edges ``_two_hop_detours`` flags never enter them.
+    The scan runs over ``live``, the kernel's edges keyed by bit in edge
+    order.  An unflagged edge that fails leaves the kernel and the scan by
+    one pop from ``live`` and one removal from each endpoint's adjacency;
+    the edges ``_two_hop_detours`` flags never enter them, so their pop
+    finds nothing.
     """
     if len(edges) == n:
         return [(1 << len(edges)) - 1]
     detours = _two_hop_detours(n, edges)
     adj: Adjacency = [[] for _ in range(n)]
-    scan: list[tuple[int, int, int]] = []
-    incident = [0] * n
+    live: dict[int, tuple[int, int, int]] = {}
     tested_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     bit = 1
     for x, y, w in edges:
-        incident[x] |= bit
-        incident[y] |= bit
         tested_at[min(x, y)].append((max(x, y), w, bit))
         if not detours & bit:
             adj[x].append((y, w, bit))
             adj[y].append((x, w, bit))
-            scan.append((x, y, bit))
+            live[bit] = (x, y, bit)
         bit <<= 1
     kept: list[int] = []
     counts: dict[int, int] = {}
@@ -173,17 +176,15 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     done = 0
     for root in range(n):
         tie = shortest_path_keys(adj, root)[1]
-        dropped = 0
+        here = 0
         for y, w, bit in tested_at[root]:
+            here |= bit
             if tie[y] != bit:
                 kept.append(tie[y] | bit)
-                if not detours & bit:  # flagged edges never entered adj or scan
-                    dropped |= bit
+                if live.pop(bit, None):
+                    adj[root].remove((y, w, bit))
                     adj[y].remove((root, w, bit))
-        if dropped:
-            adj[root] = [a for a in adj[root] if not a[2] & dropped]
-            scan = [s for s in scan if not s[2] & dropped]
-        for x, y, bit in scan:
+        for x, y, bit in live.values():
             tx, ty = tie[x], tie[y]
             if tx & ty:
                 continue
@@ -197,7 +198,7 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                     counts[mask] = c + 1
             else:
                 counts[mask] = 1
-        done |= incident[root]
+        done |= here
     kept += [mask for mask, times in counts.items() if times == mask.bit_count()]
     return kept
 
@@ -285,8 +286,10 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
     endpoints.  A DFS step skips the edge it arrived by, not the vertex it
     came from, so a parallel edge back to the parent counts as a back edge
     and parallel pairs form a block.  Edges are pushed on a stack as they
-    are explored; when a child's lowpoint does not reach above its parent,
-    the edges down to the tree edge into that child are one block.
+    are explored, and each DFS frame records where its tree edge sits on
+    that stack; when a child's lowpoint does not reach above its parent,
+    the edges from the tree edge into that child to the top of the stack
+    are one block, cut off with one slice.
     """
     edges = g.edges
     disc = [0] * g.n  # discovery time, 0 = unvisited
@@ -299,10 +302,11 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
             continue
         clock += 1
         disc[start] = low[start] = clock
-        # frames: (vertex, index of the tree edge into it, incident-edge iterator)
-        stack = [(start, -1, iter(g.incident(start)))]
+        # frames: (vertex, index of the tree edge into it, that edge's place
+        # on edge_stack, incident-edge iterator)
+        stack = [(start, -1, 0, iter(g.incident(start)))]
         while stack:
-            v, in_edge, rest = stack[-1]
+            v, in_edge, at, rest = stack[-1]
             for e_idx in rest:
                 if e_idx == in_edge:
                     continue
@@ -312,7 +316,7 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
                     edge_stack.append(e_idx)
                     clock += 1
                     disc[u] = low[u] = clock
-                    stack.append((u, e_idx, iter(g.incident(u))))
+                    stack.append((u, e_idx, len(edge_stack) - 1, iter(g.incident(u))))
                     break
                 if disc[u] < disc[v]:  # back edge to an ancestor
                     edge_stack.append(e_idx)
@@ -326,14 +330,9 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
                 if low[v] < low[p]:
                     low[p] = low[v]
                 if low[v] >= disc[p]:
-                    block = []
-                    while True:
-                        f = edge_stack.pop()
-                        block.append(f)
-                        if f == in_edge:
-                            break
+                    block = sorted(edge_stack[at:])
+                    del edge_stack[at:]
                     if len(block) >= 2:
-                        block.sort()
                         blocks.append(block)
     return blocks
 

@@ -25,7 +25,13 @@ from minbasis.graph import (
     weighted_adjacency,
 )
 from minbasis.oracle import all_cycle_vectors, brute_tight_cycles
-from minbasis.tight import _two_hop_detours, enumerate_tight_cycles, horton_candidates, is_tight
+from minbasis.tight import (
+    _cyclic_blocks,
+    _two_hop_detours,
+    enumerate_tight_cycles,
+    horton_candidates,
+    is_tight,
+)
 
 from test_graph import seeded_multigraphs, small_graphs
 
@@ -490,6 +496,31 @@ def test_two_hop_detours_never_reach_the_kernel(monkeypatch):
     tcs = enumerate_tight_cycles(g)
     assert [c.edge_indices() for c in tcs.cycles] == [(0, 1, 2, 3), (1, 2, 5), (0, 1, 4)]
     assert seen == [{1, 2, 4, 8}] * 4
+
+
+def test_cyclic_blocks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(19)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        graphs.append(random_graph_nm(rng, n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))))
+    # a forest, and three triangles, a square and a bridge joined at cut vertices 2, 3, 6 and 8
+    graphs.append(Graph(12, [(0, 1, 1), (1, 2, 1), (3, 4, 2), (4, 5, 1), (4, 6, 3), (8, 9, 1)]))
+    graphs.append(Graph(11, [
+        (0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 2), (3, 4, 1), (4, 5, 1), (5, 6, 1),
+        (3, 6, 1), (6, 7, 1), (7, 8, 1), (6, 8, 1), (8, 10, 4), (2, 9, 1), (9, 3, 1),
+    ]))
+    for g in graphs:
+        index = {(min(e.u, e.v), max(e.u, e.v)): i for i, e in enumerate(g.edges)}
+        nxg = nx.Graph()
+        nxg.add_edges_from(index)
+        expected = sorted(
+            sorted(index[min(u, v), max(u, v)] for u, v in comp)
+            for comp in nx.biconnected_component_edges(nxg)
+            if len(comp) >= 2
+        )
+        assert sorted(_cyclic_blocks(g)) == expected
 
 
 def test_enumerate_one_cycle_blocks_run_no_kernel(monkeypatch):
