@@ -33,7 +33,7 @@ from .graph import (
     spanning_forest,
 )
 from .mcb import BasisReport, mcb_depina, mcb_earliest, mcb_kavitha, min_weight_odd_cycle
-from .mhb import HomologyBasisReport, homologous, mhb_tight, mhb_via_mcb
+from .mhb import homologous, mhb_tight, mhb_via_mcb
 from .oracle import all_cycle_vectors, brute_mcb, brute_mhb, brute_tight_cycles
 from .simplicial import (
     HomologyProfile,
@@ -56,7 +56,6 @@ __all__ = [
     "Gf2Matrix",
     "Gf2Vector",
     "Graph",
-    "HomologyBasisReport",
     "HomologyProfile",
     "InfeasibleSupportError",
     "InternalInvariantError",

@@ -23,7 +23,7 @@ from . import fixtures, oracle
 from .errors import InternalInvariantError
 from .graph import cyclomatic_number, load_graph, parse_ints
 from .mcb import ENGINES, BasisReport
-from .mhb import HomologyBasisReport, mhb_tight, mhb_via_mcb
+from .mhb import mhb_tight, mhb_via_mcb
 from .simplicial import homology_profile, load_complex
 from .tight import TightCycleSet, enumerate_tight_cycles
 
@@ -147,20 +147,13 @@ def _cycles_payload(cycles) -> list[dict]:
     ]
 
 
-def _basis_payload(report: BasisReport) -> dict:
-    # every engine raises InternalInvariantError unless it returns nu cycles
+def _basis_payload(report: BasisReport, rank: str) -> dict:
+    """``rank`` names the cycle count: ``"nu"`` for a cycle basis, ``"beta1"``
+    for a homology basis.  Every engine raises InternalInvariantError unless
+    it returns that many cycles."""
     return {
         "engine": report.engine,
-        "nu": len(report.cycles),
-        "total_weight": report.total_weight,
-        "cycles": _cycles_payload(report.cycles),
-    }
-
-
-def _homology_payload(report: HomologyBasisReport) -> dict:
-    return {
-        "engine": report.engine,
-        "beta1": len(report.cycles),
+        rank: len(report.cycles),
         "total_weight": report.total_weight,
         "cycles": _cycles_payload(report.cycles),
     }
@@ -176,7 +169,7 @@ def _tight_payload(tcs: TightCycleSet) -> dict:
 
 def _run_mcb(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     g = load_graph(cfg.input)
-    payload = _basis_payload(ENGINES[cfg.engine](g))
+    payload = _basis_payload(ENGINES[cfg.engine](g), "nu")
     _write(payload, cfg.format, out, ("engine", "nu", "total_weight"))
     return 0
 
@@ -187,7 +180,7 @@ def _run_mhb(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         report = mhb_via_mcb(k, mcb_engine=cfg.mcb_engine)
     else:
         report = mhb_tight(k)
-    _write(_homology_payload(report), cfg.format, out, ("engine", "beta1", "total_weight"))
+    _write(_basis_payload(report, "beta1"), cfg.format, out, ("engine", "beta1", "total_weight"))
     return 0
 
 
@@ -237,11 +230,8 @@ def _run_bench(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         values = (kind, name, instance.n, instance.m, len(ref.cycles), ref.total_weight, verdict)
         rows.append(dict(zip(BENCH_FIELDS, values)))
         if not agree:
-            dumps = {
-                e: _basis_payload(r) if graph else _homology_payload(r)
-                for e, r in reports.items()
-            }
-            disagreements.append((name, dumps))
+            rank = "nu" if graph else "beta1"
+            disagreements.append((name, {e: _basis_payload(r, rank) for e, r in reports.items()}))
 
     all_agree = not disagreements
     if cfg.format == "json":
@@ -272,11 +262,11 @@ def _run_oracle(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         raise CliUsageError(f"oracle {cfg.mode} requires an input file")
     if cfg.mode == "mhb":
         k = load_complex(cfg.input, auto_close=cfg.auto_close)
-        payload = _homology_payload(oracle.brute_mhb(k))
+        payload = _basis_payload(oracle.brute_mhb(k), "beta1")
     else:
         g = load_graph(cfg.input)
         if cfg.mode == "mcb":
-            payload = _basis_payload(oracle.brute_mcb(g))
+            payload = _basis_payload(oracle.brute_mcb(g), "nu")
         else:
             payload = _tight_payload(oracle.brute_tight_cycles(g))
     _write({"oracle_version": oracle.ORACLE_VERSION, **payload}, "json", out)

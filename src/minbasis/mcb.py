@@ -50,16 +50,22 @@ _NO_ODD_CYCLE = "no tight cycle has odd inner product with the support vector"
 
 @dataclass
 class BasisReport:
-    """An ordered cycle basis with its weight and optional certificate.
+    """An ordered minimum basis of cycles, from an MCB, MHB or oracle engine.
 
     ``certificate`` holds the final support vectors (full edge length,
     supported on non-tree edges) for the engines that maintain them.
+    ``boundary_profile`` holds the triangle indices of the earliest
+    boundary basis for the homology engines; a graph has no triangles.
     """
 
     engine: str
     cycles: list[Cycle]
-    total_weight: int
     certificate: Optional[list[Gf2Vector]] = None
+    boundary_profile: tuple[int, ...] = ()
+
+    @property
+    def total_weight(self) -> int:
+        return sum(c.base for c in self.cycles)
 
     def weight_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(c.base for c in self.cycles))
@@ -119,7 +125,7 @@ def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
         raise InternalInvariantError(
             f"tight cycles span rank {len(chosen)} < cyclomatic number {nu}"
         )
-    return BasisReport("earliest", chosen, sum(c.base for c in chosen))
+    return BasisReport("earliest", chosen)
 
 
 Update = Callable[[list[int], list[int], Callable[[int], int]], None]
@@ -160,7 +166,7 @@ def _support_basis(
             f"picked {len(cycles)} cycles for {len(support)} support vectors"
         )
     certificate = [Gf2Vector(g.m, s) for s in support]
-    return BasisReport(engine, cycles, sum(c.base for c in cycles), certificate)
+    return BasisReport(engine, cycles, certificate)
 
 
 def _depina_update(

@@ -10,32 +10,18 @@ cycle list they scan: all tight cycles, or a minimum cycle basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalInvariantError
 from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number
-from .mcb import ENGINES, earliest_cycles
+from .mcb import ENGINES, BasisReport, earliest_cycles
 from .simplicial import SimplicialComplex, _boundary_elimination, skeleton
 from .tight import enumerate_tight_cycles
 
 
-@dataclass
-class HomologyBasisReport:
-    """Cycles spanning the 1-homology classes at minimum total weight."""
-
-    engine: str
-    cycles: list[Cycle]
-    total_weight: int
-    boundary_profile: tuple[int, ...]  # triangle indices of the earliest boundary basis
-
-    def weight_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(c.base for c in self.cycles))
-
-
 def _profile_basis(
     k: SimplicialComplex, g: Graph, cycle_columns: Callable[[], list[Cycle]], engine: str
-) -> HomologyBasisReport:
+) -> BasisReport:
     """Rank profile of the boundary columns, then of ``cycle_columns()``.
 
     ``g`` is the 1-skeleton; the scan stops once the rank reaches its
@@ -52,17 +38,16 @@ def _profile_basis(
             f"rank profile split selected {len(chosen)} cycle columns; expected "
             f"{beta1} (cycle rank {cycle_rank} - boundary rank {len(boundary_sel)})"
         )
-    total = sum(c.base for c in chosen)
-    return HomologyBasisReport(engine, chosen, total, tuple(boundary_sel))
+    return BasisReport(engine, chosen, boundary_profile=tuple(boundary_sel))
 
 
-def mhb_tight(k: SimplicialComplex) -> HomologyBasisReport:
+def mhb_tight(k: SimplicialComplex) -> BasisReport:
     """Rank profile of the boundary columns followed by all tight cycles."""
     g = skeleton(k)
     return _profile_basis(k, g, lambda: enumerate_tight_cycles(g).cycles, "tight")
 
 
-def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> HomologyBasisReport:
+def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> BasisReport:
     """Rank profile of the boundary columns followed by a minimum cycle basis."""
     try:
         engine = ENGINES[mcb_engine]

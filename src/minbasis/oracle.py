@@ -15,7 +15,6 @@ from .errors import BudgetExceededError, InternalInvariantError
 from .gf2 import SpanTracker
 from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number, fundamental_cycles
 from .mcb import BasisReport
-from .mhb import HomologyBasisReport
 from .simplicial import SimplicialComplex, boundary_matrix, homology_profile, skeleton
 from .tight import TightCycleSet
 
@@ -53,10 +52,10 @@ def brute_mcb(g: Graph) -> BasisReport:
     chosen = [c for c in vectors if tracker.add(c.mask)]
     if len(chosen) != nu:
         raise InternalInvariantError("cycle vectors did not span the cycle space")
-    return BasisReport("oracle", chosen, sum(c.weight.base for c in chosen))
+    return BasisReport("oracle", chosen)
 
 
-def brute_mhb(k: SimplicialComplex) -> HomologyBasisReport:
+def brute_mhb(k: SimplicialComplex) -> BasisReport:
     """Greedy minimum basis modulo boundaries over the full cycle space."""
     g = skeleton(k)
     vectors = sorted(all_cycle_vectors(g), key=lambda c: c.weight)
@@ -73,8 +72,7 @@ def brute_mhb(k: SimplicialComplex) -> HomologyBasisReport:
         raise InternalInvariantError(
             f"greedy kept {len(chosen)} cycles, expected beta1 = {profile.beta1}"
         )
-    total = sum(c.weight.base for c in chosen)
-    return HomologyBasisReport("oracle", chosen, total, tuple(boundary_sel))
+    return BasisReport("oracle", chosen, boundary_profile=tuple(boundary_sel))
 
 
 def _elementary_cycles(g: Graph) -> list[tuple[list[int], list[int]]]:
@@ -158,4 +156,4 @@ def brute_tight_cycles(g: Graph) -> TightCycleSet:
         if ok:
             tight.append(cycle_from_mask(g, total_m))
     tight.sort(key=lambda c: c.weight)
-    return TightCycleSet(tight, sum(c.edge_count() for c in tight))
+    return TightCycleSet(tight)

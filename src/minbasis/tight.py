@@ -80,7 +80,10 @@ class TightCycleSet:
     """All tight cycles, strictly sorted by weight."""
 
     cycles: list[Cycle]
-    total_length: int  # sum of edge counts
+
+    @property
+    def total_length(self) -> int:
+        return sum(c.edge_count() for c in self.cycles)
 
 
 def _two_hop_detours(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
@@ -369,4 +372,4 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
                 base += edges[i][2]
                 lifted.append(block[i])
             keys.append((base, bit_mask(lifted)))
-    return TightCycleSet(_sorted_cycles(g.m, keys), sum(mask.bit_count() for _, mask in keys))
+    return TightCycleSet(_sorted_cycles(g.m, keys))

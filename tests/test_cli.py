@@ -262,7 +262,7 @@ def test_bench_detects_disagreement(monkeypatch):
     from minbasis.mcb import BasisReport
 
     def wrong(g, tight=None):
-        return BasisReport("earliest", [], 0)
+        return BasisReport("earliest", [])
 
     monkeypatch.setitem(cli.ENGINES, "earliest", wrong)
     code, out, err = run_cli(["bench", "--seed", "1", "--graphs", "2", "--complexes", "0"])
@@ -315,6 +315,11 @@ def test_oracle_subcommands(tmp_path, k4_file, torus_file):
     assert code == 0
     assert (tmp_path / "fx" / "k4.grf").exists()
     assert out.count("wrote") == len(out.splitlines())
+
+
+def test_oracle_regen_requires_out():
+    code, out, err = run_cli(["oracle", "regen", "--seed", "7"])
+    assert (code, out, err) == (1, "", "error: oracle regen requires --out DIR\n")
 
 
 def test_oracle_budget_refusal_exit_1(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from minbasis.errors import ParseError
+from minbasis.fixtures import path_graph
 from minbasis.graph import (
     MAX_WEIGHT,
     Graph,
@@ -76,6 +77,12 @@ def test_graph_validation():
     g = Graph(3, [(0, 1, 2), (0, 1, 5)])  # parallel edges allowed
     assert g.m == 2
     assert g.incident(0) == (0, 1)
+
+
+def test_other_end_rejects_a_vertex_off_the_edge():
+    with pytest.raises(ValueError) as exc:
+        path_graph(3).other_end(0, 2)
+    assert str(exc.value) == "vertex 2 not an endpoint of edge 0"
 
 
 def test_perturbed_weight_order():

@@ -213,6 +213,9 @@ def test_homologous_rejects_non_cycles():
         homologous(k, z, bad)
     with pytest.raises(ValueError, match="z2: edge mask out of range"):
         homologous(k, z, Cycle(0b1111, 3, k.m))
+    with pytest.raises(ValueError) as exc:
+        homologous(hollow_triangle(), Cycle(0b111, 3, 4), z)
+    assert str(exc.value) == "z1: edge-vector length 4 != 3"
 
 
 def test_mhb_of_disconnected_complex():
