@@ -221,21 +221,23 @@ def cyclomatic_number(g: Graph) -> int:
     return g.m - g.n + component_count(g)
 
 
+def find(parent: dict[int, int], x: int) -> int:
+    """Root of ``x`` in a union-find forest held as a parent dict, halving
+    the path on the way; a vertex not yet in ``parent`` becomes a root."""
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
     """Split edge indices into (tree, non-tree) by index-order union-find."""
     parent: dict[int, int] = {}  # only vertices on some edge
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree: list[int] = []
     nontree: list[int] = []
     for idx, e in enumerate(g.edges):
-        ru, rv = find(e.u), find(e.v)
+        ru, rv = find(parent, e.u), find(parent, e.v)
         if ru == rv:
             nontree.append(idx)
         else:

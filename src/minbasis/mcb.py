@@ -1,13 +1,19 @@
 """Minimum cycle basis engines.
 
-Three interchangeable engines, all exact and deterministic:
+Three interchangeable engines, all exact and deterministic, read one
+weight-sorted cycle list.  By default it is ``tight.basis_cycles``, the
+cycles counted from a feedback vertex set of each block: it holds every
+tight cycle and possibly a few more, and the ``tight`` module docstring
+shows that any such list gives the same picks in the same order, and
+the same certificate, as the tight list itself.  A caller may pass the
+tight list instead.
 
-* ``earliest``  - keep the first independent cycles of the weight-sorted
-  tight list (the earliest basis of the tight-cycle matrix).
+* ``earliest``  - keep the first independent cycles of the list (the
+  earliest basis of the cycle matrix).
 * ``depina``    - maintain support vectors; repeatedly take the lightest
-  tight cycle with odd inner product against the current support vector
-  and re-orthogonalize the later vectors odd against it, found through a
-  column index of the parity rows.
+  cycle of the list with odd inner product against the current support
+  vector and re-orthogonalize the later vectors odd against it, found
+  through a column index of the parity rows.
 * ``kavitha``   - same invariants as ``depina`` but the support vectors
   are re-orthogonalized in bulk by a divide-and-conquer block update,
   which solves its unitriangular block by substitution.
@@ -22,14 +28,14 @@ cycle, so a qualifying cycle always exists, and the final vectors are
 the certificate as they stand.
 
 Each support vector S_i carries a parity row P_i: bit j of P_i is the
-inner product of the j-th cycle of the weight-sorted tight list with
-S_i.  The rows start as "the tight cycles containing non-tree edge i":
-one ``gf2.transpose`` of the tight masks gives such a per-edge row for
+inner product of the j-th cycle of the list with S_i.  The rows start
+as "the listed cycles containing non-tree edge i": one
+``gf2.transpose`` of the listed masks gives such a per-edge row for
 every edge, and the non-tree edges' rows are kept.  Every ``S_j ^= S_k``
-goes with ``P_j ^= P_k``.  The lightest tight cycle odd against S_i is
+goes with ``P_j ^= P_k``.  The lightest listed cycle odd against S_i is
 then the lowest set bit of P_i, and an inner product is one bit of a
 row, so the engines take no popcount over edge masks.
-``depina`` also keeps the rows' transpose, one column per tight cycle,
+``depina`` also keeps the rows' transpose, one column per listed cycle,
 so each step reads the vectors it must change off one column and no
 step scans every later row.
 """
@@ -42,7 +48,7 @@ from typing import Callable, Optional
 from .errors import InfeasibleSupportError, InternalInvariantError
 from .gf2 import Gf2Vector, SpanTracker, bit_indices, bit_mask, transpose
 from .graph import Cycle, Graph, cyclomatic_number, spanning_forest
-from .tight import TightCycleSet, enumerate_tight_cycles
+from .tight import TightCycleSet, basis_cycles
 
 
 _NO_ODD_CYCLE = "no tight cycle has odd inner product with the support vector"
@@ -96,7 +102,7 @@ def _check_lengths(tcs: TightCycleSet, m: int) -> None:
 
 def _tight_set(g: Graph, tight: TightCycleSet | None) -> TightCycleSet:
     if tight is None:
-        return enumerate_tight_cycles(g)
+        return basis_cycles(g)
     _check_lengths(tight, g.m)
     return tight
 
@@ -114,7 +120,8 @@ def earliest_cycles(tracker: SpanTracker, cycles: list[Cycle], rank: int) -> lis
 
 
 def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
-    """Earliest basis of the weight-sorted tight-cycle matrix.
+    """Earliest basis of the weight-sorted cycle matrix of ``basis_cycles``,
+    or of ``tight`` when given.
 
     Because the columns are sorted by weight and independence is matroid
     independence, the first spanning independent set is a minimum basis.
@@ -140,14 +147,14 @@ def _support_basis(
     1, ... in order, each time with ``support[i]`` orthogonal to the
     cycles picked before, and must pair every ``support[j] ^=
     support[k]`` with ``parity[j] ^= parity[k]``.  ``pick`` returns the
-    chosen cycle's position in the tight list.  Only ``support`` is read
+    chosen cycle's position in the cycle list.  Only ``support`` is read
     after ``update`` returns, so ``update`` may release ``parity[i]``
     once ``pick(i)`` has read it.
     """
     tcs = _tight_set(g, tight)
     nontree = spanning_forest(g)[1]
     support = [1 << e for e in nontree]
-    holds = transpose([c.mask for c in tcs.cycles], g.m)  # the tight cycles holding each edge
+    holds = transpose([c.mask for c in tcs.cycles], g.m)  # the listed cycles holding each edge
     parity = [holds[e] for e in nontree]
     del holds  # so that the rows the update releases are freed
     cycles: list[Cycle] = []
@@ -172,7 +179,7 @@ def _support_basis(
 def _depina_update(
     support: list[int], parity: list[int], pick: Callable[[int], int]
 ) -> None:
-    # col[p] has bit j set when parity[j] holds tight cycle p; it stays
+    # col[p] has bit j set when parity[j] holds listed cycle p; it stays
     # exact for the rows after the current step, which are all it is read for
     col = transpose(parity, max((row.bit_length() for row in parity), default=0))
     for i in range(len(support)):
@@ -197,7 +204,7 @@ def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
 
     Step i changes only the later S_j odd against its pick C_i.  Those j
     are the bits above i of C_i's column in a column index of the parity
-    rows (bit j of column p set when P_j holds tight cycle p), so no step
+    rows (bit j of column p set when P_j holds listed cycle p), so no step
     scans every later row.  Adding P_i to a row flips that row's bit in
     the column of every cycle P_i holds, and the index follows.  A
     picked column and a spent row are never read again and are released.
@@ -208,7 +215,7 @@ def mcb_depina(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
 def _kavitha_update(
     support: list[int], parity: list[int], pick: Callable[[int], int]
 ) -> None:
-    chosen = [0] * len(support)  # tight-list position picked at each step
+    chosen = [0] * len(support)  # list position picked at each step
 
     def solve(lo: int, u: int) -> None:
         if lo == u:

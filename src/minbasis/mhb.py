@@ -5,7 +5,9 @@ elimination with the triangle boundary columns, then scan a weight-sorted
 list of cycles and keep those that grow the rank.  The kept cycles are
 independent modulo boundaries and, because the scan order is by weight,
 form a minimum-weight homology basis.  The engines differ only in the
-cycle list they scan: all tight cycles, or a minimum cycle basis.
+cycle list they scan: ``tight.basis_cycles``, which holds every tight cycle
+and gives the same kept cycles as the tight list (the ``tight`` module
+docstring says why), or a minimum cycle basis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import InternalInvariantError
 from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number
 from .mcb import ENGINES, BasisReport, earliest_cycles
 from .simplicial import SimplicialComplex, _boundary_elimination, skeleton
-from .tight import enumerate_tight_cycles
+from .tight import basis_cycles
 
 
 def _profile_basis(
@@ -42,9 +44,10 @@ def _profile_basis(
 
 
 def mhb_tight(k: SimplicialComplex) -> BasisReport:
-    """Rank profile of the boundary columns followed by all tight cycles."""
+    """Rank profile of the boundary columns followed by ``basis_cycles``:
+    every tight cycle, counted from a feedback vertex set of each block."""
     g = skeleton(k)
-    return _profile_basis(k, g, lambda: enumerate_tight_cycles(g).cycles, "tight")
+    return _profile_basis(k, g, lambda: basis_cycles(g).cycles, "tight")
 
 
 def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> BasisReport:

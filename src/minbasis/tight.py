@@ -12,18 +12,47 @@ undirected graphs*, IPCO 2010): with unique shortest paths, a candidate
 is tight exactly when every one of its vertices generates it.  A root
 generates a given edge set at most once (two joining edges would make
 the tree contain a cycle), so the enumerator counts how often each edge
-set occurs and keeps those whose count equals their vertex count, which
-for a simple cycle is its edge count.  Roots run in increasing vertex
-order, so a cycle is first generated by its lowest vertex; only that
-root, where ``path & done`` is 0, inserts it, and later roots increment
-a mask already there.  A mask its lowest vertex did not generate cannot
-be tight, so dropping it loses nothing.  Candidates come straight from
-the shortest-path kernel's tie masks: the tie mask of x is the edge set
-of the root -> x path, and the two paths of a candidate meet only at the
-root exactly when their edge masks are disjoint.  One root's masks are
-held at a time, never the all-pairs table.  ``is_tight`` is an
-independent checker from the all-pairs table: a cycle is tight exactly
-when every pairwise shortest path between its vertices lies on it.
+set occurs at the roots of a set Z, run in increasing order, and keeps
+those generated by every root on them.  A simple cycle passes a vertex
+through two of its edges, so the roots on a mask number half of
+|mask & E1| + 2 |mask & E2|, E1 and E2 being the edges with one and with
+two endpoints in Z; a mask is kept when twice its count equals that sum.
+A cycle is first generated by its lowest root; only that root, where
+``path & done`` is 0 (``done`` being every edge incident to an earlier
+root), inserts it, and later roots increment a mask already there.  A
+mask its lowest root does not generate is never stored, and no tight
+cycle is such a mask.  Candidates come straight from the shortest-path
+kernel's tie masks: the tie mask of x is the edge set of the root -> x
+path, and the two paths of a candidate meet only at the root exactly
+when their edge masks are disjoint.  One root's masks are held at a
+time, never the all-pairs table.  ``is_tight`` is an independent checker
+from the all-pairs table: a cycle is tight exactly when every pairwise
+shortest path between its vertices lies on it.
+
+With every vertex a root, E2 is every edge, the test is count == edge
+count, and the kept masks are exactly the tight cycles:
+``enumerate_tight_cycles`` and ``tight-cycles`` list them.  With fewer
+roots every tight cycle that passes a root is still kept, and a few
+cycles that are not tight may be kept too.  ``basis_cycles``, the list
+the MCB engines and ``mhb_tight`` read, takes as Z a feedback vertex set
+of each block, the complement of an induced forest, which every cycle
+passes; so it holds every tight cycle.  Mehlhorn and Michail restrict
+Horton's candidates to a feedback vertex set in the same way (*Minimum
+cycle bases: faster and simpler*, ACM TALG 2009).  That is enough for
+the engines.  Under the (base, mask) order cycle weights are distinct,
+and a cycle that is not tight splits at a shortcut into two strictly
+lighter cycles, so the tight cycles lighter than a cycle C span every
+cycle lighter than C.  Hence, for any weight-sorted list of cycles that
+holds every tight cycle:
+
+* a scan in weight order keeps a cycle exactly when the lighter cycles
+  (with the boundaries, for ``mhb_tight``) do not span it, which does not
+  depend on the list; so ``earliest`` and ``mhb_tight`` keep the same
+  cycles in the same order, and never a cycle that is not tight;
+* the lightest of all cycles odd against a support vector is tight,
+  since one of the two lighter halves of a cycle that is not would be
+  odd as well; so it is the list's lightest odd cycle, and ``depina``
+  and ``kavitha`` make the same picks and end with the same certificate.
 
 An edge xy is non-geodesic when it is not itself the shortest x-y path
 P(x, y).  Such edges leave both the kernel and the counting scan:
@@ -35,24 +64,28 @@ P(x, y).  Such edges leave both the kernel and the counting scan:
     not, so any tight cycle through xy is P(x, y) + xy.  That cycle is
     tight, since every pair of its vertices is joined by a sub-path of
     P(x, y).  The enumerator emits it once, as ``tie[y] | bit`` at the
-    root of the lower endpoint x.
+    root of x, the lowest endpoint in Z.
 (c) Every vertex of P(x, y) + xy generates it with xy as the joining
     edge.  Once xy leaves the scan, a count an earlier root started for
-    that mask stays below its edge count, so it is never kept twice.
+    that mask misses root x, so it is never kept twice.
 (d) A tight cycle made only of geodesic edges is generated by each of
     its vertices through shortest paths and a geodesic joining edge, so
     it keeps its exact multiplicity.
 
 A cheap pre-test flags the edges that a parallel edge or a two-edge path
-beats, and keeps them out of the kernel.  Every edge's geodesy is tested
-once, at the root of its lower endpoint x: by (a) that root's ``tie[y]``
-is P(x, y), so xy is geodesic exactly when ``tie[y]`` is xy alone.  An
-edge that passes there is P(x, y), so a test at y could never fail.
+beats, and keeps them out of the kernel.  Every edge with an endpoint in
+Z has its geodesy tested once, at the root of its lowest endpoint x in
+Z: by (a) that root's ``tie[y]`` is P(x, y), so xy is geodesic exactly
+when ``tie[y]`` is xy alone.  An edge that passes there is P(x, y), so a
+test at y could never fail.  An edge with no endpoint in Z is never
+tested and stays in the kernel and the scan even when flagged: by (a) it
+changes no key, and by (c) every root on P(x, y) + xy generates that
+cycle, which is then kept by count.
 
 Every cycle lies inside one biconnected block (Horton, *A polynomial-time
 algorithm to find the shortest cycle basis of a graph*, SIAM J. Comput.
 1987), so an iterative Tarjan lowpoint pass finds the blocks with at
-least two edges and the kernel runs only from their vertices and only
+least two edges and the kernel runs only from their roots and only
 inside them; forests, pendant trees and bridges cost O(n + m).  A block
 with as many edges as vertices is one cycle, which is its only tight
 cycle, and runs no kernel.  Each block's adjacency is built with its
@@ -68,16 +101,18 @@ same cut vertex, so the simple-cycle test rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .gf2 import bit_indices, bit_mask
 from .graph import AllPairs, Cycle, Graph, PerturbedWeight
-from .graph import Adjacency, shortest_path_keys
+from .graph import Adjacency, find, shortest_path_keys
 
 
 @dataclass
 class TightCycleSet:
-    """All tight cycles, strictly sorted by weight."""
+    """Distinct simple cycles strictly sorted by weight: all tight cycles
+    from ``enumerate_tight_cycles``, and from ``basis_cycles`` every tight
+    cycle and possibly a few more."""
 
     cycles: list[Cycle]
 
@@ -122,53 +157,100 @@ def _two_hop_detours(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
     return flagged
 
 
-def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
-    """Edge masks of the tight cycles of one block.
+def _feedback_vertex_set(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
+    """Sorted roots of one block: the vertices left out of an induced forest F.
+
+    ``edges`` are the block's (x, y, weight) on vertices 0..n-1.  F grows
+    over the vertices in increasing block degree, ties broken by label.  A
+    vertex joins F when its edges into F reach pairwise distinct trees of
+    F, which a union-find over F tells; otherwise one of its edges, or a
+    parallel pair, would close a cycle inside F, and it becomes a root.  So
+    G - roots is a forest and every cycle of the block passes a root.
+    """
+    near: list[list[int]] = [[] for _ in range(n)]
+    for x, y, _ in edges:
+        near[x].append(y)
+        near[y].append(x)
+    parent: dict[int, int] = {}  # the union-find over the trees of F; its keys are F
+    roots: list[int] = []
+    for v in sorted(range(n), key=lambda v: len(near[v])):
+        trees = [find(parent, u) for u in near[v] if u in parent]
+        if len(set(trees)) == len(trees):
+            parent[v] = v
+            for t in trees:
+                parent[t] = v
+        else:
+            roots.append(v)
+    return sorted(roots)
+
+
+def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[int]) -> list[int]:
+    """Edge masks of one block's cycles counted from ``roots``: every tight
+    cycle that passes a root, and possibly a few cycles that are not tight.
 
     ``edges`` are the block's (x, y, weight) on vertices 0..n-1, bit i
-    being edge i.  A block with as many edges as vertices is one cycle
-    and is returned whole, with no kernel run.
+    being edge i, and ``roots`` are increasing vertices Z.  With every
+    vertex a root the masks are exactly the block's tight cycles.  A block
+    with as many edges as vertices is one cycle and is returned whole,
+    with no kernel run.
 
-    Otherwise the kernel runs from roots 0, 1, 2, ... in order, ``tie[x]``
+    Otherwise the kernel runs from each root in increasing order, ``tie[x]``
     being the edge set of the root -> x path.  A candidate path(v,x) +
     (x,y) + path(y,v) is counted only when the two paths are edge-disjoint
     and the joining edge lies on neither; each such edge set is a simple
     cycle, because paths that met at a vertex other than the root would
-    share the path up to it.  ``done`` is the set of edges whose lower
-    endpoint is a root already run, gathered from each root's
-    ``tested_at`` edges after its scan.  Roots run in increasing order, so
-    an edge touches a root already run exactly when its lower endpoint is
-    one: ``done`` is the set of edges incident to those roots.  A path's
-    edges touch exactly its vertices, so ``path & done`` (``path`` =
-    ``tie[x] | tie[y]``) is nonzero when either path passes an earlier
+    share the path up to it.  ``done`` is the set of edges incident to the
+    roots already run, the OR of their ``incident`` masks after each scan.
+    A path's edges touch exactly its vertices, so ``path & done`` (``path``
+    = ``tie[x] | tie[y]``) is nonzero when either path passes an earlier
     root.  A candidate whose two paths pass none has the current root as
-    its lowest vertex and is stored with count 1; any other candidate only
-    increments a mask already present.  A mask is kept when its count
-    equals its edge count.  No tie list is kept after it is counted.  A
-    cycle that every vertex but one generates is already tight, since each
-    pair of its vertices holds a generator whose root path to the other
-    lies on it; so no count stops one short of its edge count, and a test
-    against edge count - 1 would keep the same masks.
+    its lowest root and is stored with count 1; any other candidate only
+    increments a mask already present.  A tight cycle is generated once by
+    each of its vertices, so the count of a tight cycle is the number of
+    roots on it.  A simple cycle passes a vertex through two of its edges,
+    so that number is half of |mask & E1| + 2 |mask & E2|, E1 and E2 being
+    the edges with one and with two endpoints in Z, and a mask is kept when
+    twice its count equals that sum.  With every vertex a root, E2 is every
+    edge and the test is count == edge count.  A cycle that every root on
+    it generates but that is not tight may be kept too.  No tie list is
+    kept after it is counted.
 
-    Each edge (x, y) with x < y is tested once, flagged or not, at root x
-    (the module docstring says why once is enough): when ``tie[y] != bit``
-    it is non-geodesic and its one tight cycle ``tie[y] | bit`` is emitted.
-    The scan runs over ``live``, the kernel's edges keyed by bit in edge
-    order.  An unflagged edge that fails leaves the kernel and the scan by
-    one pop from ``live`` and one removal from each endpoint's adjacency;
-    the edges ``_two_hop_detours`` flags never enter them, so their pop
-    finds nothing.
+    Each edge with an endpoint in Z is tested once, flagged or not, at its
+    lowest endpoint x in Z (the module docstring says why once is enough):
+    when ``tie[y] != bit`` it is non-geodesic and its one tight cycle
+    ``tie[y] | bit`` is emitted.  The scan runs over ``live``, the kernel's
+    edges keyed by bit in edge order.  An unflagged edge that fails leaves
+    the kernel and the scan by one pop from ``live`` and one removal from
+    each endpoint's adjacency; the edges ``_two_hop_detours`` flags never
+    enter them, so their pop finds nothing.  An edge with no endpoint in Z
+    is never tested: it stays in the kernel and the scan even when
+    flagged, where it changes no key and its one tight cycle is kept by
+    count.
     """
     if len(edges) == n:
         return [(1 << len(edges)) - 1]
+    is_root = [False] * n
+    for r in roots:
+        is_root[r] = True
     detours = _two_hop_detours(n, edges)
     adj: Adjacency = [[] for _ in range(n)]
     live: dict[int, tuple[int, int, int]] = {}
     tested_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    incident = [0] * n
+    ends = [0, 0, 0]  # ends[k]: the edges with k endpoints in Z
     bit = 1
     for x, y, w in edges:
-        tested_at[min(x, y)].append((max(x, y), w, bit))
-        if not detours & bit:
+        incident[x] |= bit
+        incident[y] |= bit
+        if y < x:
+            x, y = y, x
+        if not is_root[x]:
+            x, y = y, x  # x is the lowest endpoint in Z, if either is in Z
+        k = is_root[x] + is_root[y]
+        ends[k] |= bit
+        if k:
+            tested_at[x].append((y, w, bit))
+        if not k or not detours & bit:
             adj[x].append((y, w, bit))
             adj[y].append((x, w, bit))
             live[bit] = (x, y, bit)
@@ -177,11 +259,9 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     counts: dict[int, int] = {}
     get = counts.get
     done = 0
-    for root in range(n):
+    for root in roots:
         tie = shortest_path_keys(adj, root)[1]
-        here = 0
         for y, w, bit in tested_at[root]:
-            here |= bit
             if tie[y] != bit:
                 kept.append(tie[y] | bit)
                 if live.pop(bit, None):
@@ -201,8 +281,12 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                     counts[mask] = c + 1
             else:
                 counts[mask] = 1
-        done |= here
-    kept += [mask for mask, times in counts.items() if times == mask.bit_count()]
+        done |= incident[root]
+    e1, e2 = ends[1], ends[2]
+    kept += [
+        mask for mask, times in counts.items()
+        if 2 * times == (mask & e1).bit_count() + 2 * (mask & e2).bit_count()
+    ]
     return kept
 
 
@@ -340,36 +424,64 @@ def _cyclic_blocks(g: Graph) -> list[list[int]]:
     return blocks
 
 
-def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycleSet:
-    """All tight cycles of the graph, sorted by tie-broken weight.
-
-    Works one biconnected block at a time, with the block's vertices and
-    edges relabeled in increasing order.  A block with as many edges as
-    vertices is one cycle and is emitted whole.  In any other block the
-    shortest-path kernel runs from each vertex in increasing order; each
-    candidate is inserted into the count table at its lowest vertex only,
-    and the candidates generated by all their vertices are kept.  A
-    non-geodesic edge xy, one that is not itself the shortest x-y path
-    P(x, y), is dropped from the kernel and the scan and emits P(x, y) +
-    xy once: (a) it lies on no shortest path, so no key changes; (b)
-    P(x, y) + xy is its only tight cycle; (c) that cycle is never also
-    kept by count, since xy, its joining edge at every vertex, has left
-    the scan; (d) cycles of geodesic edges keep their exact counts.  Each
-    kept mask is decoded once by ``bit_indices``, for its weight and its
-    original edge indices, which ``bit_mask`` packs once.  The merged list
-    is sorted by (weight, edge bit set), so the root order that decides
-    insertion and detection does not show in the output.  ``pairs`` is
-    accepted for existing callers and ignored.
-    """
-    keys: list[tuple[int, int]] = []
+def _local_blocks(g: Graph) -> Iterator[tuple[list[int], int, list[tuple[int, int, int]]]]:
+    """Each cyclic block as (sorted edge indices, vertex count, edges): the
+    block's vertices and edges relabeled in increasing original order."""
     for block in _cyclic_blocks(g):
         verts = sorted({x for e_idx in block for x in g.edges[e_idx][:2]})
         local = {v: i for i, v in enumerate(verts)}
         edges = [(local[e.u], local[e.v], e.w) for e in (g.edges[i] for i in block)]
-        for mask in _block_tight_masks(len(verts), edges):
+        yield block, len(verts), edges
+
+
+def _rooted_cycles(
+    g: Graph, roots_of: Callable[[int, list[tuple[int, int, int]]], list[int]]
+) -> TightCycleSet:
+    """The cycles ``_block_tight_masks`` keeps in each cyclic block from the
+    roots ``roots_of(n, edges)``, lifted to ``g`` and sorted by weight.
+
+    Each kept mask is decoded once by ``bit_indices``, for its weight and
+    its original edge indices, which ``bit_mask`` packs once.  The merged
+    list is sorted by (weight, edge bit set), so the root order that
+    decides insertion and detection does not show in the output.
+    """
+    keys: list[tuple[int, int]] = []
+    for block, n, edges in _local_blocks(g):
+        for mask in _block_tight_masks(n, edges, roots_of(n, edges)):
             base, lifted = 0, []
             for i in bit_indices(mask):
                 base += edges[i][2]
                 lifted.append(block[i])
             keys.append((base, bit_mask(lifted)))
     return TightCycleSet(_sorted_cycles(g.m, keys))
+
+
+def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycleSet:
+    """All tight cycles of the graph, sorted by tie-broken weight.
+
+    Works one biconnected block at a time, with every block vertex a root.
+    A block with as many edges as vertices is one cycle and is emitted
+    whole.  In any other block the shortest-path kernel runs from each
+    vertex in increasing order; each candidate is inserted into the count
+    table at its lowest vertex only, and the candidates generated by all
+    their vertices are kept.  A non-geodesic edge xy, one that is not
+    itself the shortest x-y path P(x, y), is dropped from the kernel and
+    the scan and emits P(x, y) + xy once: (a) it lies on no shortest path,
+    so no key changes; (b) P(x, y) + xy is its only tight cycle; (c) that
+    cycle is never also kept by count, since xy, its joining edge at every
+    vertex, has left the scan; (d) cycles of geodesic edges keep their
+    exact counts.  ``pairs`` is accepted for existing callers and ignored.
+    """
+    return _rooted_cycles(g, lambda n, edges: list(range(n)))
+
+
+def basis_cycles(g: Graph) -> TightCycleSet:
+    """Every tight cycle of the graph and possibly a few more simple cycles,
+    sorted by tie-broken weight: the list the basis engines read.
+
+    Each block is counted from the roots of ``_feedback_vertex_set`` alone.
+    Every cycle passes one of them, so every tight cycle is kept, and the
+    module docstring says why the engines pick the same cycles, with the
+    same certificate, from this list as from the tight list.
+    """
+    return _rooted_cycles(g, _feedback_vertex_set)

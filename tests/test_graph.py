@@ -41,6 +41,19 @@ def small_graphs(draw, max_n=7, max_extra=5, max_w=5):
     return Graph(n, edges)
 
 
+@st.composite
+def multigraphs(draw, max_n=12):
+    """Multigraphs on 2..max_n vertices, often disconnected, with parallel
+    edges and weights from a palette holding 0 and MAX_WEIGHT."""
+    n = draw(st.integers(2, max_n))
+    palettes = [(0, 1, 2), (0, 1, MAX_WEIGHT - 1, MAX_WEIGHT), (0, MAX_WEIGHT), (0,)]
+    palette = draw(st.sampled_from(palettes))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.sampled_from(palette))
+    edges = [(u, (u + d) % n, w) for u, d, w in draw(st.lists(ends, max_size=3 * n))]
+    copies = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    return Graph(n, edges + [(u, v, draw(st.sampled_from(palette))) for u, v, _ in copies])
+
+
 def seeded_multigraphs(seed, count):
     """Multigraphs on 2..24 vertices split into up to four components, with
     parallel edges and weights drawn from palettes holding 0 and MAX_WEIGHT."""

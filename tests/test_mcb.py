@@ -25,7 +25,7 @@ from minbasis.mcb import (
 from minbasis.oracle import brute_mcb
 from minbasis.tight import TightCycleSet, enumerate_tight_cycles, is_tight
 
-from test_graph import seeded_multigraphs, small_graphs
+from test_graph import multigraphs, seeded_multigraphs, small_graphs
 
 ALL_ENGINES = [mcb_earliest, mcb_depina, mcb_kavitha]
 
@@ -283,3 +283,30 @@ def test_disconnected_random_graphs_match_oracle():
             report = engine(union)
             assert report.total_weight == want.total_weight
             assert report.weight_multiset() == want.weight_multiset()
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_engines_report_the_same_on_basis_cycles_and_the_tight_list(g):
+    # by default the engines read basis_cycles, the cycles counted from a
+    # feedback vertex set, which hold every tight cycle and maybe a few more
+    tight = enumerate_tight_cycles(g)
+    for engine in ALL_ENGINES:
+        assert engine(g) == engine(g, tight)
+
+
+@pytest.mark.parametrize("seed, n, m", [(0, 30, 75), (1, 25, 80), (2, 40, 85)])
+def test_earliest_weights_match_networkx(seed, n, m):
+    # an independent reference on simple graphs past the oracle's budget
+    # (nu = 46..56): a tight cycle the enumerator dropped would show here
+    nx = pytest.importorskip("networkx")
+    g = random_graph_nm(random.Random(seed), n, m)
+    G = nx.Graph()
+    G.add_weighted_edges_from(g.edges)
+    assert G.number_of_edges() == g.m
+    weights = []
+    for cycle in nx.minimum_cycle_basis(G, weight="weight"):
+        # on these positive weights networkx lists each cycle's vertices in
+        # order around it; a pair out of order would raise KeyError here
+        weights.append(sum(G[a][b]["weight"] for a, b in zip(cycle, cycle[1:] + cycle[:1])))
+    assert mcb_earliest(g).weight_multiset() == tuple(sorted(weights))

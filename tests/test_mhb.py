@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minbasis.fixtures import (
     annulus,
@@ -13,7 +15,7 @@ from minbasis.fixtures import (
 from minbasis.gf2 import Gf2Matrix, rank
 from minbasis.graph import Cycle, Edge, apsp, cycle_from_mask
 from minbasis.mcb import ENGINES, mcb_earliest
-from minbasis.mhb import homologous, mhb_tight, mhb_via_mcb
+from minbasis.mhb import _profile_basis, homologous, mhb_tight, mhb_via_mcb
 from minbasis.oracle import brute_mhb
 from minbasis.simplicial import (
     SimplicialComplex,
@@ -233,3 +235,13 @@ def test_mhb_of_disconnected_complex():
         assert report.total_weight == 6
         assert len(report.cycles) == 1
     assert brute_mhb(k).total_weight == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mhb_tight_on_basis_cycles_matches_the_tight_profile(seed):
+    # mhb_tight scans basis_cycles, counted from a feedback vertex set; its
+    # report must be the rank profile over the full tight list
+    k = random_complex(random.Random(seed), 3, 12)
+    g = skeleton(k)
+    assert mhb_tight(k) == _profile_basis(k, g, lambda: enumerate_tight_cycles(g).cycles, "tight")

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+import helpers
 from minbasis.fixtures import (
     c5,
     cycle_graph,
@@ -27,13 +28,16 @@ from minbasis.graph import (
 from minbasis.oracle import all_cycle_vectors, brute_tight_cycles
 from minbasis.tight import (
     _cyclic_blocks,
+    _feedback_vertex_set,
+    _local_blocks,
     _two_hop_detours,
+    basis_cycles,
     enumerate_tight_cycles,
     horton_candidates,
     is_tight,
 )
 
-from test_graph import seeded_multigraphs, small_graphs
+from test_graph import multigraphs, seeded_multigraphs, small_graphs
 
 
 def canonical(tcs):
@@ -549,3 +553,69 @@ def test_enumerate_long_path_has_no_recursion_limit():
     g = Graph(n, [*path_graph(n).edges, (n - 3, n - 1, 1)])
     tcs = enumerate_tight_cycles(g)
     assert [c.edge_indices() for c in tcs.cycles] == [(n - 3, n - 2, n - 1)]
+
+
+def _is_simple_cycle(g, c):
+    """Whether ``c`` is one simple cycle of ``g`` weighing ``c.base``: less one
+    edge, its edges form one simple path between that edge's endpoints."""
+    first, *rest = c.edge_indices()
+    e = g.edges[first]
+    path = helpers.simple_path(g.edges, c.mask ^ 1 << first, e.u)
+    return path is not None and path[-1] == e.v and c.base == e.w + sum(g.edges[i].w for i in rest)
+
+
+def _check_basis_cycles(g):
+    """Each block is counted from the roots Z of its feedback vertex set
+    alone: the list must hold every tight cycle and nothing but distinct
+    simple cycles, and G - Z must be a forest in every block."""
+    rooted = basis_cycles(g).cycles
+    keys = [(c.base, c.mask) for c in rooted]
+    assert keys == sorted(set(keys))
+    assert all(_is_simple_cycle(g, c) for c in rooted)
+    assert {c.mask for c in enumerate_tight_cycles(g).cycles} <= {c.mask for c in rooted}
+    for _, n, edges in _local_blocks(g):
+        roots = _feedback_vertex_set(n, edges)
+        assert roots == sorted(set(roots)) and set(roots) <= set(range(n))
+        tree = list(range(n))  # a union-find over the forest, written afresh
+
+        def top(x):
+            while tree[x] != x:
+                x = tree[x]
+            return x
+
+        for x, y, _ in edges:
+            if x not in roots and y not in roots:
+                a, b = top(x), top(y)
+                assert a != b, "an edge closes a cycle outside the roots"
+                tree[a] = b
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs())
+def test_basis_cycles_hold_every_tight_cycle(g):
+    _check_basis_cycles(g)
+
+
+def test_basis_cycles_hold_every_tight_cycle_on_seeded_graphs():
+    rng = random.Random(2021)
+    graphs = [
+        *seeded_multigraphs(2021, 150),
+        *(_glued_graph(rng) for _ in range(60)),
+        *_dense_graphs(2021, 8),
+    ]
+    for g in graphs:
+        _check_basis_cycles(g)
+
+
+def test_basis_cycles_run_the_kernel_from_the_roots_only(monkeypatch):
+    runs = []
+
+    def recording_kernel(adj, root):
+        runs.append(root)
+        return shortest_path_keys(adj, root)
+
+    monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
+    # K4: vertices 0 and 1 make the forest, and 2 and 3 each close a cycle in it
+    g = k4()
+    assert canonical(basis_cycles(g)) == canonical(enumerate_tight_cycles(g))
+    assert runs == [2, 3, 0, 1, 2, 3]
