@@ -223,8 +223,12 @@ def _run_bench(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             t0 = time.perf_counter()
             reports[engine_name] = engine(instance)
             err.write(f"timing {name} {engine_name}: {time.perf_counter() - t0:.4f}s\n")
-        agree = len({r.weight_multiset() for r in reports.values()}) == 1
         graph = kind == "graph"
+        if graph:
+            agree = len({r.weight_multiset() for r in reports.values()}) == 1
+        else:  # the MHB engines select the same cycles in the same order
+            agree = len({(tuple(c.mask for c in r.cycles), r.boundary_profile)
+                         for r in reports.values()}) == 1
         ref = reports["earliest" if graph else "tight"]
         verdict = "agree" if agree else "DISAGREE"
         values = (kind, name, instance.n, instance.m, len(ref.cycles), ref.total_weight, verdict)

@@ -153,6 +153,29 @@ class SpanTracker:
             bits ^= row
         return False
 
+    def classes(self, coords: Iterable[int]) -> list[int]:
+        """The class of each unit vector ``1 << c`` modulo the kept vectors,
+        for increasing bit positions ``coords`` that hold every bit fed.
+
+        A class has one bit per coordinate that is no pivot, and a vector
+        lies in the span exactly when the XOR of its coordinates' classes
+        is 0.  A free coordinate is its own bit; a pivot's row is its unit
+        vector plus lower coordinates, so its class is the XOR of theirs.
+        """
+        of: dict[int, int] = {}
+        free = 1
+        for c in coords:
+            row = self._rows.get(c)
+            if row is None:
+                of[c] = free
+                free <<= 1
+            else:
+                a = 0
+                for b in bit_indices(row ^ 1 << c):
+                    a ^= of[b]
+                of[c] = a
+        return list(of.values())
+
 
 def column_rank_profile(m: Gf2Matrix) -> RankProfile:
     """Lexicographically smallest index set of independent spanning columns.

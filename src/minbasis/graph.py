@@ -221,13 +221,25 @@ def cyclomatic_number(g: Graph) -> int:
     return g.m - g.n + component_count(g)
 
 
-def find(parent: dict[int, int], x: int) -> int:
+def find(parent: dict[int, int], x: int, potential: Optional[dict[int, int]] = None) -> int:
     """Root of ``x`` in a union-find forest held as a parent dict, halving
-    the path on the way; a vertex not yet in ``parent`` becomes a root."""
+    the path on the way; a vertex not yet in ``parent`` becomes a root.
+
+    ``potential``, when given, holds an XOR label for every vertex in the
+    forest: that of the step to its parent, 0 at a root.  Halving keeps
+    the labels exact, and ``x`` is then hung right below its root, so on
+    return ``potential[x]`` is the XOR of the labels on its path to it.
+    """
     parent.setdefault(x, x)
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
+    start, label = x, 0
+    while (up := parent[x]) != x:
+        if potential is not None:
+            potential[x] ^= potential[up]  # x now skips up
+            label ^= potential[x]
+        parent[x] = x = parent[up]
+    if potential is not None:
+        parent[start] = x
+        potential[start] = label
     return x
 
 

@@ -107,18 +107,6 @@ def _tight_set(g: Graph, tight: TightCycleSet | None) -> TightCycleSet:
     return tight
 
 
-def earliest_cycles(tracker: SpanTracker, cycles: list[Cycle], rank: int) -> list[Cycle]:
-    """Feed ``cycles`` to ``tracker`` in order and return those that raise
-    its rank, stopping once the rank reaches ``rank``."""
-    chosen: list[Cycle] = []
-    for c in cycles:
-        if tracker.rank == rank:
-            break
-        if tracker.add(c.mask):
-            chosen.append(c)
-    return chosen
-
-
 def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     """Earliest basis of the weight-sorted cycle matrix of ``basis_cycles``,
     or of ``tight`` when given.
@@ -127,7 +115,13 @@ def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     independence, the first spanning independent set is a minimum basis.
     """
     nu = cyclomatic_number(g)
-    chosen = earliest_cycles(SpanTracker(), _tight_set(g, tight).cycles, nu)
+    tracker = SpanTracker()
+    chosen: list[Cycle] = []
+    for c in _tight_set(g, tight).cycles:
+        if tracker.rank == nu:
+            break
+        if tracker.add(c.mask):
+            chosen.append(c)
     if len(chosen) != nu:
         raise InternalInvariantError(
             f"tight cycles span rank {len(chosen)} < cyclomatic number {nu}"

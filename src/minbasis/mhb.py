@@ -2,39 +2,51 @@
 
 Both engines reduce the problem to a column rank profile: seed the
 elimination with the triangle boundary columns, then scan a weight-sorted
-list of cycles and keep those that grow the rank.  The kept cycles are
-independent modulo boundaries and, because the scan order is by weight,
-form a minimum-weight homology basis.  The engines differ only in the
-cycle list they scan: ``tight.basis_cycles``, which holds every tight cycle
-and gives the same kept cycles as the tight list (the ``tight`` module
-docstring says why), or a minimum cycle basis.
+list of cycles and keep those that grow the rank, that is those whose
+homology class (read from the edge annotations of the boundary
+elimination) is independent of the classes kept so far.  The kept cycles
+are independent modulo boundaries and, because the scan order is by
+weight, form a minimum-weight homology basis.  The engines differ only in
+the cycle list they scan: ``tight.basis_cycles`` counted from the
+homology roots of each block, which every cycle that is not
+null-homologous passes, or a minimum cycle basis.  Every member of the
+basis is tight and not null-homologous, so it is on the first list, and
+the scan keeps the same cycles from it as from the tight list (the
+``tight`` module docstring says why).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import InternalInvariantError
-from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number
-from .mcb import ENGINES, BasisReport, earliest_cycles
-from .simplicial import SimplicialComplex, _boundary_elimination, skeleton
+from .gf2 import SpanTracker
+from .graph import Cycle, Graph, cycle_from_mask
+from .mcb import ENGINES, BasisReport
+from .simplicial import SimplicialComplex, _boundary_elimination, homology_class, skeleton
 from .tight import basis_cycles
 
 
 def _profile_basis(
-    k: SimplicialComplex, g: Graph, cycle_columns: Callable[[], list[Cycle]], engine: str
+    k: SimplicialComplex, cycle_columns: Callable[[list[int]], Iterable[Cycle]], engine: str
 ) -> BasisReport:
-    """Rank profile of the boundary columns, then of ``cycle_columns()``.
+    """Rank profile of the boundary columns, then of ``cycle_columns(annotation)``.
 
-    ``g`` is the 1-skeleton; the scan stops once the rank reaches its
-    cycle rank, and the kept cycles must number cycle rank minus boundary
-    rank, that is beta1.  When beta1 is 0 the basis is empty and
+    A cycle is kept when its homology class is independent of the classes
+    kept so far; the scan stops at beta1 kept cycles, cycle rank minus
+    boundary rank, and must reach it.  When beta1 is 0 the basis is empty and
     ``cycle_columns`` is never called, so no cycle list is built.
     """
-    cycle_rank = cyclomatic_number(g)
-    tracker, boundary_sel = _boundary_elimination(k)
+    annotation, boundary_sel, cycle_rank = _boundary_elimination(k)
     beta1 = cycle_rank - len(boundary_sel)
-    chosen = earliest_cycles(tracker, cycle_columns(), cycle_rank) if beta1 else []
+    tracker = SpanTracker()
+    chosen: list[Cycle] = []
+    if beta1:
+        for c in cycle_columns(annotation):
+            if tracker.add(homology_class(annotation, c.mask)):
+                chosen.append(c)
+                if len(chosen) == beta1:
+                    break
     if len(chosen) != beta1:
         raise InternalInvariantError(
             f"rank profile split selected {len(chosen)} cycle columns; expected "
@@ -44,10 +56,10 @@ def _profile_basis(
 
 
 def mhb_tight(k: SimplicialComplex) -> BasisReport:
-    """Rank profile of the boundary columns followed by ``basis_cycles``:
-    every tight cycle, counted from a feedback vertex set of each block."""
+    """Rank profile of the boundary columns followed by ``basis_cycles``
+    counted from the homology roots of each block."""
     g = skeleton(k)
-    return _profile_basis(k, g, lambda: basis_cycles(g).cycles, "tight")
+    return _profile_basis(k, lambda annotation: basis_cycles(g, annotation).cycles, "tight")
 
 
 def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> BasisReport:
@@ -57,8 +69,8 @@ def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> BasisRepo
     except KeyError:
         raise ValueError(f"unknown mcb engine {mcb_engine!r}") from None
     g = skeleton(k)
-    by_weight = lambda: sorted(engine(g).cycles, key=lambda c: (c.base, c.mask))
-    return _profile_basis(k, g, by_weight, "via_mcb")
+    by_weight = lambda annotation: sorted(engine(g).cycles, key=lambda c: (c.base, c.mask))
+    return _profile_basis(k, by_weight, "via_mcb")
 
 
 def _check_cycle(g: Graph, z: Cycle, name: str) -> None:
@@ -72,8 +84,9 @@ def _check_cycle(g: Graph, z: Cycle, name: str) -> None:
 
 
 def homologous(k: SimplicialComplex, z1: Cycle, z2: Cycle) -> bool:
-    """Whether two cycles differ by a sum of triangle boundaries."""
+    """Whether two cycles differ by a sum of triangle boundaries: whether
+    their homology classes, read from the edge annotations, are equal."""
     g = skeleton(k)
     _check_cycle(g, z1, "z1")
     _check_cycle(g, z2, "z2")
-    return not _boundary_elimination(k)[0].add(z1.mask ^ z2.mask)
+    return not homology_class(_boundary_elimination(k)[0], z1.mask ^ z2.mask)

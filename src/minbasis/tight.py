@@ -34,7 +34,7 @@ count, and the kept masks are exactly the tight cycles:
 ``enumerate_tight_cycles`` and ``tight-cycles`` list them.  With fewer
 roots every tight cycle that passes a root is still kept, and a few
 cycles that are not tight may be kept too.  ``basis_cycles``, the list
-the MCB engines and ``mhb_tight`` read, takes as Z a feedback vertex set
+the MCB engines read, takes as Z a feedback vertex set
 of each block, the complement of an induced forest, which every cycle
 passes; so it holds every tight cycle.  Mehlhorn and Michail restrict
 Horton's candidates to a feedback vertex set in the same way (*Minimum
@@ -46,13 +46,29 @@ cycle lighter than C.  Hence, for any weight-sorted list of cycles that
 holds every tight cycle:
 
 * a scan in weight order keeps a cycle exactly when the lighter cycles
-  (with the boundaries, for ``mhb_tight``) do not span it, which does not
-  depend on the list; so ``earliest`` and ``mhb_tight`` keep the same
-  cycles in the same order, and never a cycle that is not tight;
+  do not span it, which does not depend on the list; so ``earliest``
+  keeps the same cycles in the same order, and never a cycle that is
+  not tight;
 * the lightest of all cycles odd against a support vector is tight,
   since one of the two lighter halves of a cycle that is not would be
   odd as well; so it is the list's lightest odd cycle, and ``depina``
   and ``kavitha`` make the same picks and end with the same certificate.
+
+``mhb_tight`` needs less: its Z must meet only the cycles that are not
+null-homologous.  Given the edge annotations of the boundary elimination
+(a cycle's homology class is the XOR of its edges'), the same greedy
+grows F = V - Z with a union-find that carries XOR potentials and makes
+a vertex a root only when it would close a cycle of nonzero class inside
+F, so every such cycle passes a root (Busaryev, Cabello, Chen, Dey and
+Wang, *Annotating simplices with a homology basis and its
+applications*, SWAT 2012; Dey, Li and Wang, LATIN 2018).  The scan in
+weight order keeps a listed cycle exactly when its class is independent
+of the classes of the lighter listed cycles.  The lighter tight cycles
+span the classes of all lighter cycles; those of class 0 add nothing,
+and the others pass a root and are kept by count.  So the lighter listed
+cycles span the classes of all lighter cycles, and the scan keeps the
+members of the minimum homology basis, in the same order as from the
+tight list: each is tight and not null-homologous, so it is listed.
 
 An edge xy is non-geodesic when it is not itself the shortest x-y path
 P(x, y).  Such edges leave both the kernel and the counting scan:
@@ -157,30 +173,46 @@ def _two_hop_detours(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
     return flagged
 
 
-def _feedback_vertex_set(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
-    """Sorted roots of one block: the vertices left out of an induced forest F.
+def _feedback_vertex_set(
+    n: int, edges: list[tuple[int, int, int]], annotation: Optional[list[int]] = None
+) -> list[int]:
+    """Sorted roots of one block: the vertices left out of an induced subgraph F.
 
     ``edges`` are the block's (x, y, weight) on vertices 0..n-1.  F grows
-    over the vertices in increasing block degree, ties broken by label.  A
-    vertex joins F when its edges into F reach pairwise distinct trees of
-    F, which a union-find over F tells; otherwise one of its edges, or a
-    parallel pair, would close a cycle inside F, and it becomes a root.  So
-    G - roots is a forest and every cycle of the block passes a root.
+    over the vertices in increasing block degree, ties broken by label, and
+    a union-find over F tells which trees of F a vertex's edges reach.
+    Without ``annotation`` a vertex becomes a root when two of its edges
+    reach one tree, closing a cycle inside F, so G - roots is a forest and
+    every cycle of the block passes a root.  ``annotation`` gives each edge
+    a homology class; the union-find then carries XOR potentials, the class
+    of a vertex's path in F to its tree's root, and a vertex becomes a root
+    only when two of its edges reach one tree at different potentials,
+    closing a cycle of nonzero class.  So every such cycle passes a root.
     """
-    near: list[list[int]] = [[] for _ in range(n)]
-    for x, y, _ in edges:
-        near[x].append(y)
-        near[y].append(x)
+    near: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (x, y, _) in enumerate(edges):
+        near[x].append((y, i))
+        near[y].append((x, i))
     parent: dict[int, int] = {}  # the union-find over the trees of F; its keys are F
+    potential = None if annotation is None else {}
     roots: list[int] = []
     for v in sorted(range(n), key=lambda v: len(near[v])):
-        trees = [find(parent, u) for u in near[v] if u in parent]
-        if len(set(trees)) == len(trees):
-            parent[v] = v
-            for t in trees:
-                parent[t] = v
+        reach: dict[int, int] = {}  # tree of F -> v's potential below its root
+        for u, i in near[v]:
+            if u in parent:
+                t = find(parent, u, potential)
+                p = 0 if potential is None else potential[u] ^ annotation[i]
+                if t in reach and (potential is None or reach[t] != p):
+                    roots.append(v)
+                    break
+                reach[t] = p
         else:
-            roots.append(v)
+            parent[v] = v
+            for t in reach:
+                parent[t] = v
+            if potential is not None:
+                potential[v] = 0
+                potential.update(reach)
     return sorted(roots)
 
 
@@ -435,10 +467,10 @@ def _local_blocks(g: Graph) -> Iterator[tuple[list[int], int, list[tuple[int, in
 
 
 def _rooted_cycles(
-    g: Graph, roots_of: Callable[[int, list[tuple[int, int, int]]], list[int]]
+    g: Graph, roots_of: Callable[[list[int], int, list[tuple[int, int, int]]], list[int]]
 ) -> TightCycleSet:
     """The cycles ``_block_tight_masks`` keeps in each cyclic block from the
-    roots ``roots_of(n, edges)``, lifted to ``g`` and sorted by weight.
+    roots ``roots_of(block, n, edges)``, lifted to ``g`` and sorted by weight.
 
     Each kept mask is decoded once by ``bit_indices``, for its weight and
     its original edge indices, which ``bit_mask`` packs once.  The merged
@@ -447,7 +479,7 @@ def _rooted_cycles(
     """
     keys: list[tuple[int, int]] = []
     for block, n, edges in _local_blocks(g):
-        for mask in _block_tight_masks(n, edges, roots_of(n, edges)):
+        for mask in _block_tight_masks(n, edges, roots_of(block, n, edges)):
             base, lifted = 0, []
             for i in bit_indices(mask):
                 base += edges[i][2]
@@ -472,16 +504,22 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     vertex, has left the scan; (d) cycles of geodesic edges keep their
     exact counts.  ``pairs`` is accepted for existing callers and ignored.
     """
-    return _rooted_cycles(g, lambda n, edges: list(range(n)))
+    return _rooted_cycles(g, lambda block, n, edges: list(range(n)))
 
 
-def basis_cycles(g: Graph) -> TightCycleSet:
-    """Every tight cycle of the graph and possibly a few more simple cycles,
-    sorted by tie-broken weight: the list the basis engines read.
+def basis_cycles(g: Graph, annotation: Optional[list[int]] = None) -> TightCycleSet:
+    """Simple cycles sorted by tie-broken weight: the list the basis engines read.
 
-    Each block is counted from the roots of ``_feedback_vertex_set`` alone.
-    Every cycle passes one of them, so every tight cycle is kept, and the
-    module docstring says why the engines pick the same cycles, with the
-    same certificate, from this list as from the tight list.
+    Each block is counted from the roots of ``_feedback_vertex_set`` alone,
+    so the list holds every tight cycle, or with ``annotation`` (each edge's
+    homology class) every tight cycle that is not null-homologous, and
+    possibly a few more.  The module docstring says why the engines pick
+    the same cycles, with the same certificate, from it as from the tight
+    list.
     """
-    return _rooted_cycles(g, _feedback_vertex_set)
+
+    def roots_of(block: list[int], n: int, edges: list[tuple[int, int, int]]) -> list[int]:
+        local = None if annotation is None else [annotation[i] for i in block]
+        return _feedback_vertex_set(n, edges, local)
+
+    return _rooted_cycles(g, roots_of)

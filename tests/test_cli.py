@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,25 @@ def test_bench_detects_disagreement(monkeypatch):
 
     monkeypatch.setitem(cli.ENGINES, "earliest", wrong)
     code, out, err = run_cli(["bench", "--seed", "1", "--graphs", "2", "--complexes", "0"])
+    assert code == 2
+    assert "DISAGREE" in out
+    assert "disagreement on" in err
+
+
+@pytest.mark.parametrize(
+    "alter",
+    [
+        lambda r: replace(r, cycles=r.cycles[::-1]),
+        lambda r: replace(r, boundary_profile=r.boundary_profile[1:]),
+    ],
+    ids=["cycle-order", "boundary-profile"],
+)
+def test_bench_requires_the_mhb_engines_to_select_the_same_cycles(monkeypatch, alter):
+    # both changes keep the weight multiset; the bench must still see them
+    from minbasis.mhb import mhb_via_mcb
+
+    monkeypatch.setattr(cli, "mhb_via_mcb", lambda k: alter(mhb_via_mcb(k)))
+    code, out, err = run_cli(["bench", "--seed", "1", "--graphs", "0", "--complexes", "10"])
     assert code == 2
     assert "DISAGREE" in out
     assert "disagreement on" in err

@@ -150,3 +150,47 @@ def test_span_tracker_keeps_independent_vectors():
     assert tracker.add(0b111)  # outside span{011, 110}
     assert not tracker.add(0)
     assert tracker.rank == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_classes_are_linear_with_the_span_as_kernel(m, rng):
+    # coordinates are a sparse increasing subset of bit positions, as the
+    # non-tree edges are of the edge space
+    coords = sorted(rng.sample(range(3 * m.nrows + 1), m.nrows))
+    spread = [sum(1 << coords[i] for i in bit_indices(c.bits)) for c in m.columns]
+    tracker = SpanTracker()
+    for v in spread:
+        tracker.add(v)
+    classes = tracker.classes(coords)
+    assert len(classes) == m.nrows
+    free = m.nrows - tracker.rank
+    assert all(0 <= a < 1 << free for a in classes)
+    # the classes span all free bits, so the kernel has dimension rank
+    assert helpers.dense_rank([[a >> j & 1 for j in range(free)] for a in classes]) == free
+    for v in spread:
+        assert _class_of(classes, coords, v) == 0
+    for _ in range(8):
+        v = sum(1 << c for c in coords if rng.random() < 0.5)
+        in_span = helpers.dense_rank(helpers.rows(m)) == helpers.dense_rank(
+            [row + [v >> coords[i] & 1] for i, row in enumerate(helpers.rows(m))]
+        )
+        assert (_class_of(classes, coords, v) == 0) == in_span
+
+
+def _class_of(classes, coords, v):
+    a = 0
+    for c, cls in zip(coords, classes):
+        if v >> c & 1:
+            a ^= cls
+    return a
+
+
+def test_classes_examples():
+    tracker = SpanTracker()
+    tracker.add(0b0110)  # pivot 2, row 0b0110: e2 ~ e1
+    tracker.add(0b1010)  # pivot 3, row 0b1010: e3 ~ e1
+    # coordinates 1, 2 and 3; 1 is the one free coordinate, bit 0
+    assert tracker.classes([1, 2, 3]) == [0b1, 0b1, 0b1]
+    assert SpanTracker().classes([0, 4]) == [0b01, 0b10]
+    assert SpanTracker().classes([]) == []

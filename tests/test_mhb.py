@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from minbasis.fixtures import (
     annulus,
     filled_triangle,
@@ -13,17 +15,27 @@ from minbasis.fixtures import (
     torus_seven,
 )
 from minbasis.gf2 import Gf2Matrix, rank
-from minbasis.graph import Cycle, Edge, apsp, cycle_from_mask
+from minbasis.graph import (
+    Cycle,
+    Edge,
+    Graph,
+    apsp,
+    cycle_from_mask,
+    fundamental_cycles,
+    shortest_path_keys,
+)
 from minbasis.mcb import ENGINES, mcb_earliest
 from minbasis.mhb import _profile_basis, homologous, mhb_tight, mhb_via_mcb
 from minbasis.oracle import brute_mhb
 from minbasis.simplicial import (
     SimplicialComplex,
+    _boundary_elimination,
     boundary_matrix,
+    homology_class,
     homology_profile,
     skeleton,
 )
-from minbasis.tight import enumerate_tight_cycles, is_tight
+from minbasis.tight import _feedback_vertex_set, _local_blocks, enumerate_tight_cycles, is_tight
 
 ALL_FIXTURES = [
     hollow_triangle,
@@ -240,8 +252,138 @@ def test_mhb_of_disconnected_complex():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_mhb_tight_on_basis_cycles_matches_the_tight_profile(seed):
-    # mhb_tight scans basis_cycles, counted from a feedback vertex set; its
-    # report must be the rank profile over the full tight list
-    k = random_complex(random.Random(seed), 3, 12)
+    _check_reports(random_complex(random.Random(seed), 3, 12))
+
+
+def _check_reports(k):
+    # mhb_tight scans basis_cycles, counted from the homology roots; its
+    # report must be the rank profile over the full tight list, and via-mcb's
     g = skeleton(k)
-    assert mhb_tight(k) == _profile_basis(k, g, lambda: enumerate_tight_cycles(g).cycles, "tight")
+    report = mhb_tight(k)
+    assert report == _profile_basis(k, lambda a: enumerate_tight_cycles(g).cycles, "tight")
+    assert report == replace(mhb_via_mcb(k), engine="tight")
+
+
+def _holed_torus(rng, side, keep):
+    """Triangulated side x side torus grid, each triangle kept with
+    probability ``keep``, weights 1..9, edges in shuffled order."""
+    vid = lambda i, j: (i % side) * side + j % side
+    edges, triangles = [], []
+    for i in range(side):
+        for j in range(side):
+            a, right, down, diag = vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)
+            edges += [Edge(a, b, rng.randint(1, 9)) for b in (right, down, diag)]
+            triangles += [t for t in ((a, right, diag), (a, down, diag)) if rng.random() < keep]
+    rng.shuffle(edges)
+    return SimplicialComplex(side * side, tuple(edges), tuple(triangles))
+
+
+def _union(rng, parts, isolated):
+    """Disjoint union of complexes, with ``isolated`` vertices on no edge
+    and the vertex labels shuffled."""
+    n = sum(k.n for k in parts) + isolated
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, triangles, at = [], [], 0
+    for k in parts:
+        edges += [Edge(label[at + e.u], label[at + e.v], e.w) for e in k.edges]
+        triangles += [tuple(label[at + x] for x in t) for t in k.triangles]
+        at += k.n
+    return SimplicialComplex(n, tuple(edges), tuple(triangles))
+
+
+def _seeded_complexes(seed):
+    rng = random.Random(seed)
+    yield from (_holed_torus(rng, rng.randint(3, 5), rng.choice([0.5, 0.8, 0.95])) for _ in range(6))
+    yield from (_filled_grid_disk(side) for side in (2, 3, 5))
+    for _ in range(6):
+        parts = [random_complex(rng, 3, 9) for _ in range(rng.randint(2, 3))]
+        yield _union(rng, parts, rng.randint(0, 3))
+    yield _union(rng, [_holed_torus(rng, 3, 0.9), _filled_grid_disk(3), torus_seven()], 2)
+
+
+def _boundary_reducer(k):
+    """Whether an edge mask lies in the span of the boundary columns, by an
+    elimination on the lowest set bit in edge coordinates."""
+    pivots = {}
+
+    def reduce(bits):
+        while bits:
+            row = pivots.get(bits & -bits)
+            if row is None:
+                return bits
+            bits ^= row
+        return 0
+
+    for col in boundary_matrix(k, 2).columns:
+        rest = reduce(col.bits)
+        if rest:
+            pivots[rest & -rest] = rest
+    return lambda bits: not reduce(bits)
+
+
+def _check_annotations(k):
+    """The annotations against an elimination of their own: a cycle's class
+    is 0 exactly when it is a sum of boundaries, the classes have rank
+    beta1, and every cycle inside F = V - Z has class 0."""
+    g = skeleton(k)
+    annotation, kept, cycle_rank = _boundary_elimination(k)
+    beta1 = homology_profile(k).beta1
+    assert beta1 == cycle_rank - len(kept)
+    assert all(0 <= a < 1 << beta1 for a in annotation)
+    assert helpers.dense_rank([[a >> j & 1 for j in range(beta1)] for a in annotation]) == beta1
+    in_span = _boundary_reducer(k)
+    rng = random.Random(k.m)
+    basis = [c.mask for c in fundamental_cycles(g)] + [c.bits for c in boundary_matrix(k, 2).columns]
+    cycles = list(basis)
+    for _ in range(3 * len(basis)):
+        z = 0
+        for b in basis:
+            if rng.random() < 0.3:
+                z ^= b
+        cycles.append(z)
+    for z in cycles:
+        assert (homology_class(annotation, z) == 0) == in_span(z)
+    for block, n, edges in _local_blocks(g):
+        local = [annotation[i] for i in block]
+        roots = _feedback_vertex_set(n, edges, local)
+        assert roots == sorted(set(roots)) and set(roots) <= set(range(n))
+        inside = [i for i, (x, y, _) in enumerate(edges) if x not in roots and y not in roots]
+        within_f = Graph(n, [edges[i] for i in inside])
+        for c in fundamental_cycles(within_f):
+            assert not homology_class([local[i] for i in inside], c.mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_annotations_on_random_complexes(seed):
+    _check_annotations(random_complex(random.Random(seed), 3, 12))
+
+
+def test_annotations_on_seeded_complexes():
+    complexes = list(_seeded_complexes(2012))
+    assert any(homology_profile(k).beta1 == 0 and k.n2 for k in complexes)
+    assert any(homology_profile(k).beta0 > 2 for k in complexes)
+    for k in complexes:
+        _check_annotations(k)
+        _check_reports(k)
+
+
+def test_mhb_tight_runs_the_kernel_from_the_homology_roots_only(monkeypatch):
+    # one block, so the kernel runs once per homology root; the feedback
+    # vertex set the MCB engines count from is larger
+    k = _holed_torus(random.Random(0), 6, 0.9)
+    (block, n, edges), = _local_blocks(skeleton(k))
+    local = [_boundary_elimination(k)[0][i] for i in block]
+    homology_roots = _feedback_vertex_set(n, edges, local)
+    runs = []
+
+    def recording_kernel(adj, root):
+        runs.append(root)
+        return shortest_path_keys(adj, root)
+
+    monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
+    report = mhb_tight(k)
+    assert runs == homology_roots
+    assert len(runs) < len(_feedback_vertex_set(n, edges))
+    assert len(report.cycles) == homology_profile(k).beta1 > 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -596,15 +597,34 @@ def test_basis_cycles_hold_every_tight_cycle(g):
     _check_basis_cycles(g)
 
 
-def test_basis_cycles_hold_every_tight_cycle_on_seeded_graphs():
+def _seeded_graphs():
     rng = random.Random(2021)
-    graphs = [
+    return [
         *seeded_multigraphs(2021, 150),
         *(_glued_graph(rng) for _ in range(60)),
         *_dense_graphs(2021, 8),
     ]
-    for g in graphs:
+
+
+def test_basis_cycles_hold_every_tight_cycle_on_seeded_graphs():
+    for g in _seeded_graphs():
         _check_basis_cycles(g)
+
+
+def test_feedback_roots_match_the_recorded_lists():
+    # with no annotation the greedy keeps the roots of the plain forest
+    # greedy: the repr of every block's roots on the seeded graphs (676
+    # blocks), recorded before the union-find carried potentials
+    roots = [
+        [_feedback_vertex_set(n, edges) for _, n, edges in _local_blocks(g)]
+        for g in _seeded_graphs()
+    ]
+    text = repr(roots)
+    assert text.startswith("[[[5, 9, 11]], [[3, 4], [1], [1]], [[1]], [[1], [2], [0], [1]], ")
+    assert sum(map(len, roots)) == 676
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "49a1f66246d8ebc277341682e21ac43f20b74ecb599149c58c5a7e499ca0cd86"
+    )
 
 
 def test_basis_cycles_run_the_kernel_from_the_roots_only(monkeypatch):
