@@ -32,7 +32,7 @@ from .graph import (
     parse_graph,
     spanning_forest,
 )
-from .mcb import BasisReport, mcb_depina, mcb_earliest, mcb_kavitha, min_weight_odd_cycle
+from .mcb import BasisReport, mcb_depina, mcb_earliest, mcb_kavitha
 from .mhb import homologous, mhb_tight, mhb_via_mcb
 from .oracle import all_cycle_vectors, brute_mcb, brute_mhb, brute_tight_cycles
 from .simplicial import (
@@ -87,7 +87,6 @@ __all__ = [
     "mcb_kavitha",
     "mhb_tight",
     "mhb_via_mcb",
-    "min_weight_odd_cycle",
     "parse_complex",
     "parse_graph",
     "rank",

@@ -224,8 +224,8 @@ def _run_bench(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             reports[engine_name] = engine(instance)
             err.write(f"timing {name} {engine_name}: {time.perf_counter() - t0:.4f}s\n")
         graph = kind == "graph"
-        if graph:
-            agree = len({r.weight_multiset() for r in reports.values()}) == 1
+        if graph:  # the MCB is unique under the (base, mask) order
+            agree = len({frozenset(c.mask for c in r.cycles) for r in reports.values()}) == 1
         else:  # the MHB engines select the same cycles in the same order
             agree = len({(tuple(c.mask for c in r.cycles), r.boundary_profile)
                          for r in reports.values()}) == 1

@@ -14,16 +14,21 @@ Shortest paths have one representation: the (weight, edge bit set) keys
 of ``shortest_path_keys``, the one Dijkstra loop.  The tie mask of v is
 the edge set of the unique shortest root -> v path, so no parent
 pointers are kept; ``apsp`` holds one row of keys per root.
+
+Every basis engine starts from one ``eliminate``, which writes the
+boundaries in the spanning forest's non-tree coordinates (a graph has
+none, a complex its triangles'); its ``earliest`` scan goes on with the
+cycles of a weight-sorted list.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import ParseError
-from .gf2 import Gf2Vector, bit_indices, bit_mask
+from .errors import InternalInvariantError, ParseError
+from .gf2 import Gf2Vector, SpanTracker, bit_indices, bit_mask
 
 #: Largest accepted edge weight.  Sums never overflow (Python integers are
 #: unbounded); the cap just keeps inputs inside a sane 64-bit range.
@@ -256,6 +261,59 @@ def spanning_forest(g: Graph) -> tuple[list[int], list[int]]:
             parent[max(ru, rv)] = min(ru, rv)
             tree.append(idx)
     return tree, nontree
+
+
+@dataclass
+class Elimination:
+    """A graph's cycle space modulo boundaries, in non-tree coordinates.
+
+    A cycle is fixed by its ``nontree`` edges (mask ``cut``).  ``tracker``
+    holds the kept boundaries, cut, and ``kept`` their indices; ``rank`` is
+    the dimension left, nu for a graph and beta1 for a complex.  A cycle's
+    class is the XOR of its edges' ``annotation`` (Busaryev, Cabello, Chen,
+    Dey and Wang, SWAT 2012): 0 on tree edges and, with no boundaries,
+    ``1 << j`` on the j-th non-tree edge.
+    """
+
+    nontree: list[int]
+    cut: int
+    tracker: SpanTracker
+    kept: tuple[int, ...]
+    rank: int
+    annotation: list[int]
+
+    def earliest(self, cycles: Callable[[], Iterable[Cycle]]) -> list[Cycle]:
+        """The first ``rank`` cycles of ``cycles()`` whose non-tree coordinates
+        grow the elimination's rank: on a weight-sorted list, a minimum basis.
+        ``cycles`` is not called when the rank is 0.  The scan changes
+        ``tracker``, so one elimination serves one scan."""
+        chosen: list[Cycle] = []
+        if self.rank:
+            add, cut = self.tracker.add, self.cut
+            for c in cycles():
+                if add(c.mask & cut):
+                    chosen.append(c)
+                    if len(chosen) == self.rank:
+                        break
+        if len(chosen) != self.rank:
+            raise InternalInvariantError(
+                f"cycles span rank {len(chosen)} < {self.rank} modulo {len(self.kept)} boundaries"
+            )
+        return chosen
+
+
+def eliminate(g: Graph, boundaries: Iterable[int] = ()) -> Elimination:
+    """Eliminate the edge masks ``boundaries`` (none for a graph, the
+    triangles' for a complex) in the non-tree coordinates of the spanning
+    forest; the ranks and kept boundaries are those in edge coordinates."""
+    nontree = spanning_forest(g)[1]
+    cut = bit_mask(nontree)
+    tracker = SpanTracker()
+    kept = tuple(t for t, bits in enumerate(boundaries) if tracker.add(bits & cut))
+    annotation = [0] * g.m
+    for e, a in zip(nontree, tracker.classes(nontree)):
+        annotation[e] = a
+    return Elimination(nontree, cut, tracker, kept, len(nontree) - len(kept), annotation)
 
 
 def _forest_parents(g: Graph, nontree: list[int]) -> tuple[list[int], list[int]]:

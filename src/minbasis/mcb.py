@@ -1,15 +1,19 @@
 """Minimum cycle basis engines.
 
-Three interchangeable engines, all exact and deterministic, read one
-weight-sorted cycle list.  By default it is ``tight.basis_cycles``, the
-cycles counted from a feedback vertex set of each block: it holds every
-tight cycle and possibly a few more, and the ``tight`` module docstring
-shows that any such list gives the same picks in the same order, and
-the same certificate, as the tight list itself.  A caller may pass the
-tight list instead.
+Three interchangeable engines, all exact and deterministic, start from
+one ``graph.eliminate`` of the graph, with no boundaries (a graph is a
+complex with no triangles), and read one weight-sorted cycle list.  By
+default it is ``tight.basis_cycles`` counted with the elimination's
+annotations, under which every cycle has a nonzero class, so from a
+feedback vertex set of each block: it holds every tight cycle and
+possibly a few more, and the ``tight`` module docstring shows that any
+such list gives the same picks in the same order, and the same
+certificate, as the tight list itself.  A caller may pass the tight
+list instead.
 
 * ``earliest``  - keep the first independent cycles of the list (the
-  earliest basis of the cycle matrix).
+  earliest basis of the cycle matrix): the elimination's earliest scan,
+  which the MHB engines run modulo their triangle boundaries.
 * ``depina``    - maintain support vectors; repeatedly take the lightest
   cycle of the list with odd inner product against the current support
   vector and re-orthogonalize the later vectors odd against it, found
@@ -21,11 +25,11 @@ tight list instead.
 ``depina`` and ``kavitha`` share one core: the setup, the pick and the
 report with its certificate; each supplies only its update.
 Support vectors are edge-space bit masks.  The i-th starts as the unit
-vector on the i-th non-tree edge of a fixed spanning forest and is only
-ever combined with earlier ones, so every support vector is zero on tree
-edges.  That unit vector is never orthogonal to its edge's fundamental
-cycle, so a qualifying cycle always exists, and the final vectors are
-the certificate as they stand.
+vector on the i-th non-tree edge of the elimination, the edge annotated
+``1 << i``, and is only ever combined with earlier ones, so every
+support vector is zero on tree edges.  That unit vector is never
+orthogonal to its edge's fundamental cycle, so a qualifying cycle always
+exists, and the final vectors are the certificate as they stand.
 
 Each support vector S_i carries a parity row P_i: bit j of P_i is the
 inner product of the j-th cycle of the list with S_i.  The rows start
@@ -46,8 +50,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InfeasibleSupportError, InternalInvariantError
-from .gf2 import Gf2Vector, SpanTracker, bit_indices, bit_mask, transpose
-from .graph import Cycle, Graph, cyclomatic_number, spanning_forest
+from .gf2 import Gf2Vector, bit_indices, bit_mask, transpose
+from .graph import Cycle, Graph, eliminate
 from .tight import TightCycleSet, basis_cycles
 
 
@@ -77,56 +81,27 @@ class BasisReport:
         return tuple(sorted(c.base for c in self.cycles))
 
 
-def min_weight_odd_cycle(tcs: TightCycleSet, s: Gf2Vector) -> Cycle:
-    """Lightest tight cycle with odd inner product against ``s``.
-
-    ``s`` must be a nonzero vector over edge coordinates.  For any
-    nonzero support vector arising in the engines below a qualifying
-    cycle exists because the tight cycles span the cycle space; failure
-    to find one therefore signals a broken invariant, not bad input.
-    """
-    if not s.bits:
-        raise ValueError("support vector must be nonzero")
-    _check_lengths(tcs, s.length)
-    for c in tcs.cycles:
-        if (c.mask & s.bits).bit_count() & 1:
-            return c
-    raise InfeasibleSupportError(_NO_ODD_CYCLE)
-
-
-def _check_lengths(tcs: TightCycleSet, m: int) -> None:
-    for c in tcs.cycles:
-        if c.length != m:
-            raise ValueError(f"dimension mismatch: {c.length} != {m}")
-
-
-def _tight_set(g: Graph, tight: TightCycleSet | None) -> TightCycleSet:
+def _tight_set(g: Graph, tight: TightCycleSet | None, annotation: list[int]) -> TightCycleSet:
+    """``tight`` checked against ``g``, or ``basis_cycles`` counted with ``annotation``."""
     if tight is None:
-        return basis_cycles(g)
-    _check_lengths(tight, g.m)
+        return basis_cycles(g, annotation)
+    for c in tight.cycles:
+        if c.length != g.m:
+            raise ValueError(f"dimension mismatch: {c.length} != {g.m}")
     return tight
 
 
 def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     """Earliest basis of the weight-sorted cycle matrix of ``basis_cycles``,
-    or of ``tight`` when given.
+    or of ``tight`` when given: the scan of the graph's elimination, which
+    has no boundaries.
 
     Because the columns are sorted by weight and independence is matroid
     independence, the first spanning independent set is a minimum basis.
     """
-    nu = cyclomatic_number(g)
-    tracker = SpanTracker()
-    chosen: list[Cycle] = []
-    for c in _tight_set(g, tight).cycles:
-        if tracker.rank == nu:
-            break
-        if tracker.add(c.mask):
-            chosen.append(c)
-    if len(chosen) != nu:
-        raise InternalInvariantError(
-            f"tight cycles span rank {len(chosen)} < cyclomatic number {nu}"
-        )
-    return BasisReport("earliest", chosen)
+    elim = eliminate(g)
+    cycles = elim.earliest(lambda: _tight_set(g, tight, elim.annotation).cycles)
+    return BasisReport("earliest", cycles)
 
 
 Update = Callable[[list[int], list[int], Callable[[int], int]], None]
@@ -145,8 +120,9 @@ def _support_basis(
     after ``update`` returns, so ``update`` may release ``parity[i]``
     once ``pick(i)`` has read it.
     """
-    tcs = _tight_set(g, tight)
-    nontree = spanning_forest(g)[1]
+    elim = eliminate(g)
+    tcs = _tight_set(g, tight, elim.annotation)
+    nontree = elim.nontree
     support = [1 << e for e in nontree]
     holds = transpose([c.mask for c in tcs.cycles], g.m)  # the listed cycles holding each edge
     parity = [holds[e] for e in nontree]

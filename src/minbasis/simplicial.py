@@ -7,10 +7,13 @@ silently dropped: the file would describe a different complex from the
 one analysed.  A complex is valid by construction, so nothing downstream
 checks it again.
 
-One boundary elimination serves ``homology_profile`` (``betti``), both
-MHB engines and ``mhb.homologous``.  It gives every edge an annotation
-of beta1 bits, and a cycle's homology class is the XOR of its edges'
-annotations (Busaryev, Cabello, Chen, Dey and Wang, SWAT 2012).
+A complex's homology is computed by ``graph.eliminate`` on its skeleton
+with the triangle boundaries, the masks kept in ``boundaries``; a graph
+is the case with no triangles.  That one elimination serves
+``homology_profile`` (``betti``), both MHB engines and
+``mhb.homologous``, and gives every edge an annotation of beta1 bits: a
+cycle's homology class is the XOR of its edges' annotations (Busaryev,
+Cabello, Chen, Dey and Wang, SWAT 2012).
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .gf2 import Gf2Matrix, SpanTracker, bit_indices, bit_mask
-from .graph import MAX_WEIGHT, Edge, Graph, parse_ints, spanning_forest
+from .gf2 import Gf2Matrix
+from .graph import MAX_WEIGHT, Edge, Graph, eliminate, parse_ints
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,8 @@ class SimplicialComplex:
     exist (``Graph`` takes no edge out of range or on one vertex twice).
     Duplicate simplices and missing triangle edges raise one
     ``ValueError("invalid complex: ...")`` naming each in input order,
-    duplicate edges first; the same pass keeps each boundary as a mask.
+    duplicate edges first; the same pass keeps each triangle's boundary as
+    an edge mask, in triangle order, in ``boundaries``.
     """
 
     n: int
@@ -70,7 +74,7 @@ class SimplicialComplex:
         object.__setattr__(self, "triangles", tuple(canon_tris))
         # derived state, outside the dataclass fields so eq and repr ignore it
         object.__setattr__(self, "_skeleton", g)
-        object.__setattr__(self, "_boundary_masks", tuple(masks))
+        object.__setattr__(self, "boundaries", tuple(masks))
 
     @property
     def m(self) -> int:
@@ -105,40 +109,14 @@ def boundary_matrix(k: SimplicialComplex, p: int) -> Gf2Matrix:
     """
     if p != 2:
         raise ValueError(f"p must be 2, got {p}")
-    return Gf2Matrix.from_bit_columns(k.m, k._boundary_masks)
-
-
-def _boundary_elimination(k: SimplicialComplex) -> tuple[list[int], list[int], int]:
-    """Edge annotations, the triangles the elimination kept, and the cycle rank.
-
-    A cycle is fixed by its non-tree edges, so the boundaries are
-    eliminated in the non-tree coordinates of the skeleton's spanning
-    forest, which keeps every rank and the kept triangles.  A non-tree
-    edge's annotation is its class modulo the boundaries; tree edges get 0.
-    """
-    nontree = spanning_forest(skeleton(k))[1]
-    cut = bit_mask(nontree)
-    tracker = SpanTracker()
-    kept = [t for t, bits in enumerate(k._boundary_masks) if tracker.add(bits & cut)]
-    annotation = [0] * k.m
-    for e, a in zip(nontree, tracker.classes(nontree)):
-        annotation[e] = a
-    return annotation, kept, len(nontree)
-
-
-def homology_class(annotation: list[int], mask: int) -> int:
-    """The XOR of the annotations of the edges in ``mask``."""
-    a = 0
-    for e in bit_indices(mask):
-        a ^= annotation[e]
-    return a
+    return Gf2Matrix.from_bit_columns(k.m, k.boundaries)
 
 
 def homology_profile(k: SimplicialComplex) -> HomologyProfile:
-    """Betti numbers from the boundary elimination's ranks."""
-    _, kept, cycle_rank = _boundary_elimination(k)
-    beta0 = k.n - k.m + cycle_rank
-    return HomologyProfile(beta0, cycle_rank - len(kept), len(kept), cycle_rank)
+    """Betti numbers from the ranks of the skeleton's elimination."""
+    elim = eliminate(skeleton(k), k.boundaries)
+    cycle_rank = len(elim.nontree)
+    return HomologyProfile(k.n - k.m + cycle_rank, elim.rank, len(elim.kept), cycle_rank)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,17 @@ count, and the kept masks are exactly the tight cycles:
 ``enumerate_tight_cycles`` and ``tight-cycles`` list them.  With fewer
 roots every tight cycle that passes a root is still kept, and a few
 cycles that are not tight may be kept too.  ``basis_cycles``, the list
-the MCB engines read, takes as Z a feedback vertex set
-of each block, the complement of an induced forest, which every cycle
-passes; so it holds every tight cycle.  Mehlhorn and Michail restrict
+every basis engine reads, takes its roots from the edge annotations of
+``graph.eliminate``, a cycle's class being the XOR of its edges'
+(Busaryev, Cabello, Chen, Dey and Wang, *Annotating simplices with a
+homology basis and its applications*, SWAT 2012; Dey, Li and Wang,
+LATIN 2018).  One greedy grows F = V - Z in each block with a union-find
+that carries XOR potentials and makes a vertex a root only when it would
+close a cycle of nonzero class inside F, so every such cycle passes a
+root.  A graph is a complex with no triangles: under its annotations,
+unit vectors on the non-tree edges, every cycle has a nonzero class, so
+Z is a feedback vertex set and the MCB engines' list holds every tight
+cycle.  Mehlhorn and Michail restrict
 Horton's candidates to a feedback vertex set in the same way (*Minimum
 cycle bases: faster and simpler*, ACM TALG 2009).  That is enough for
 the engines.  Under the (base, mask) order cycle weights are distinct,
@@ -54,21 +62,16 @@ holds every tight cycle:
   odd as well; so it is the list's lightest odd cycle, and ``depina``
   and ``kavitha`` make the same picks and end with the same certificate.
 
-``mhb_tight`` needs less: its Z must meet only the cycles that are not
-null-homologous.  Given the edge annotations of the boundary elimination
-(a cycle's homology class is the XOR of its edges'), the same greedy
-grows F = V - Z with a union-find that carries XOR potentials and makes
-a vertex a root only when it would close a cycle of nonzero class inside
-F, so every such cycle passes a root (Busaryev, Cabello, Chen, Dey and
-Wang, *Annotating simplices with a homology basis and its
-applications*, SWAT 2012; Dey, Li and Wang, LATIN 2018).  The scan in
-weight order keeps a listed cycle exactly when its class is independent
-of the classes of the lighter listed cycles.  The lighter tight cycles
-span the classes of all lighter cycles; those of class 0 add nothing,
-and the others pass a root and are kept by count.  So the lighter listed
-cycles span the classes of all lighter cycles, and the scan keeps the
-members of the minimum homology basis, in the same order as from the
-tight list: each is tight and not null-homologous, so it is listed.
+``mhb_tight`` reads the annotations of the elimination of its triangle
+boundaries, so its Z meets only the cycles that are not null-homologous.
+The scan in weight order keeps a listed cycle exactly when its class is
+independent of the classes of the lighter listed cycles.  The lighter
+tight cycles span the classes of all lighter cycles; those of class 0
+add nothing, and the others pass a root and are kept by count.  So the
+lighter listed cycles span the classes of all lighter cycles, and the
+scan keeps the members of the minimum homology basis, in the same order
+as from the tight list: each is tight and not null-homologous, so it is
+listed.
 
 An edge xy is non-geodesic when it is not itself the shortest x-y path
 P(x, y).  Such edges leave both the kernel and the counting scan:
@@ -174,35 +177,33 @@ def _two_hop_detours(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
 
 
 def _feedback_vertex_set(
-    n: int, edges: list[tuple[int, int, int]], annotation: Optional[list[int]] = None
+    n: int, edges: list[tuple[int, int, int]], annotation: list[int]
 ) -> list[int]:
     """Sorted roots of one block: the vertices left out of an induced subgraph F.
 
-    ``edges`` are the block's (x, y, weight) on vertices 0..n-1.  F grows
-    over the vertices in increasing block degree, ties broken by label, and
-    a union-find over F tells which trees of F a vertex's edges reach.
-    Without ``annotation`` a vertex becomes a root when two of its edges
-    reach one tree, closing a cycle inside F, so G - roots is a forest and
-    every cycle of the block passes a root.  ``annotation`` gives each edge
-    a homology class; the union-find then carries XOR potentials, the class
-    of a vertex's path in F to its tree's root, and a vertex becomes a root
-    only when two of its edges reach one tree at different potentials,
-    closing a cycle of nonzero class.  So every such cycle passes a root.
+    ``edges`` are the block's (x, y, weight) on vertices 0..n-1 and
+    ``annotation`` gives each edge its class.  F grows over the vertices in
+    increasing block degree, ties broken by label, and a union-find over F
+    carries XOR potentials, the class of a vertex's path in F to its tree's
+    root.  A vertex becomes a root when two of its edges reach one tree at
+    different potentials, closing a cycle of nonzero class inside F, so
+    every such cycle passes a root.  Under a graph's annotations every
+    cycle has a nonzero class, and G - roots is a forest.
     """
     near: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (x, y, _) in enumerate(edges):
         near[x].append((y, i))
         near[y].append((x, i))
     parent: dict[int, int] = {}  # the union-find over the trees of F; its keys are F
-    potential = None if annotation is None else {}
+    potential: dict[int, int] = {}
     roots: list[int] = []
     for v in sorted(range(n), key=lambda v: len(near[v])):
         reach: dict[int, int] = {}  # tree of F -> v's potential below its root
         for u, i in near[v]:
             if u in parent:
                 t = find(parent, u, potential)
-                p = 0 if potential is None else potential[u] ^ annotation[i]
-                if t in reach and (potential is None or reach[t] != p):
+                p = potential[u] ^ annotation[i]
+                if reach.get(t, p) != p:
                     roots.append(v)
                     break
                 reach[t] = p
@@ -210,9 +211,8 @@ def _feedback_vertex_set(
             parent[v] = v
             for t in reach:
                 parent[t] = v
-            if potential is not None:
-                potential[v] = 0
-                potential.update(reach)
+            potential[v] = 0
+            potential.update(reach)
     return sorted(roots)
 
 
@@ -507,19 +507,18 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     return _rooted_cycles(g, lambda block, n, edges: list(range(n)))
 
 
-def basis_cycles(g: Graph, annotation: Optional[list[int]] = None) -> TightCycleSet:
+def basis_cycles(g: Graph, annotation: list[int]) -> TightCycleSet:
     """Simple cycles sorted by tie-broken weight: the list the basis engines read.
 
     Each block is counted from the roots of ``_feedback_vertex_set`` alone,
-    so the list holds every tight cycle, or with ``annotation`` (each edge's
-    homology class) every tight cycle that is not null-homologous, and
-    possibly a few more.  The module docstring says why the engines pick
-    the same cycles, with the same certificate, from it as from the tight
-    list.
+    ``annotation`` being the classes of an elimination of ``g``, so the list
+    holds every tight cycle of nonzero class (with no boundaries, every
+    tight cycle) and possibly a few more.  The module docstring says why
+    the engines pick the same cycles, with the same certificate, from it as
+    from the tight list.
     """
 
     def roots_of(block: list[int], n: int, edges: list[tuple[int, int, int]]) -> list[int]:
-        local = None if annotation is None else [annotation[i] for i in block]
-        return _feedback_vertex_set(n, edges, local)
+        return _feedback_vertex_set(n, edges, [annotation[i] for i in block])
 
     return _rooted_cycles(g, roots_of)

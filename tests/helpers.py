@@ -116,6 +116,20 @@ def lex_min_profile_dfs(col_bits, nrows):
     return found[0] if found else ()
 
 
+# -- support vectors -----------------------------------------------------------
+
+def min_weight_odd_cycle(tcs, s):
+    """Lightest cycle of the weight-sorted set ``tcs`` with odd inner product
+    against the nonzero ``Gf2Vector`` ``s``, by one popcount per cycle, or
+    None when no cycle is odd against it."""
+    if not s.bits:
+        raise ValueError("support vector must be nonzero")
+    for c in tcs.cycles:
+        if (c.mask & s.bits).bit_count() & 1:
+            return c
+    return None
+
+
 # -- graph oracles ------------------------------------------------------------
 
 def keyed_bellman_ford(n, edges, source):

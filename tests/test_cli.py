@@ -272,6 +272,21 @@ def test_bench_detects_disagreement(monkeypatch):
     assert "disagreement on" in err
 
 
+def test_bench_requires_the_mcb_engines_to_select_the_same_cycles(monkeypatch):
+    # the MCB is unique: a cycle swapped for another of its weight must show
+    from minbasis.mcb import mcb_kavitha
+
+    def swapped(g, tight=None):
+        r = mcb_kavitha(g, tight)
+        return replace(r, cycles=[replace(c, mask=0) for c in r.cycles[:1]] + r.cycles[1:])
+
+    monkeypatch.setitem(cli.ENGINES, "kavitha", swapped)
+    code, out, err = run_cli(["bench", "--seed", "1", "--graphs", "2", "--complexes", "0"])
+    assert code == 2
+    assert "DISAGREE" in out
+    assert "disagreement on" in err
+
+
 @pytest.mark.parametrize(
     "alter",
     [

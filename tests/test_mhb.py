@@ -21,21 +21,22 @@ from minbasis.graph import (
     Graph,
     apsp,
     cycle_from_mask,
+    eliminate,
     fundamental_cycles,
     shortest_path_keys,
 )
-from minbasis.mcb import ENGINES, mcb_earliest
-from minbasis.mhb import _profile_basis, homologous, mhb_tight, mhb_via_mcb
+from minbasis.mcb import ENGINES, BasisReport, mcb_earliest
+from minbasis.mhb import homologous, mhb_tight, mhb_via_mcb
 from minbasis.oracle import brute_mhb
 from minbasis.simplicial import (
     SimplicialComplex,
-    _boundary_elimination,
     boundary_matrix,
-    homology_class,
     homology_profile,
     skeleton,
 )
 from minbasis.tight import _feedback_vertex_set, _local_blocks, enumerate_tight_cycles, is_tight
+
+from test_graph import seeded_multigraphs
 
 ALL_FIXTURES = [
     hollow_triangle,
@@ -55,6 +56,15 @@ def test_no_triangles_equals_mcb():
     via = mhb_via_mcb(k)
     assert via.total_weight == 3
     assert via.boundary_profile == ()
+    # a graph is a complex with no triangles: one elimination and one scan
+    # give its minimum cycle basis, cycle for cycle and in the same order
+    # (seeded multigraphs less their parallel edges, as a complex has none)
+    for g in seeded_multigraphs(2023, 150):
+        first = {}
+        for e in g.edges:
+            first.setdefault(frozenset(e[:2]), e)
+        k = SimplicialComplex(g.n, tuple(first.values()), ())
+        assert replace(mhb_tight(k), engine="earliest") == mcb_earliest(skeleton(k))
 
 
 def _filled_grid_disk(side: int) -> SimplicialComplex:
@@ -260,7 +270,9 @@ def _check_reports(k):
     # report must be the rank profile over the full tight list, and via-mcb's
     g = skeleton(k)
     report = mhb_tight(k)
-    assert report == _profile_basis(k, lambda a: enumerate_tight_cycles(g).cycles, "tight")
+    elim = eliminate(g, k.boundaries)
+    tight = elim.earliest(lambda: enumerate_tight_cycles(g).cycles)
+    assert report == BasisReport("tight", tight, boundary_profile=elim.kept)
     assert report == replace(mhb_via_mcb(k), engine="tight")
 
 
@@ -322,14 +334,25 @@ def _boundary_reducer(k):
     return lambda bits: not reduce(bits)
 
 
+def _class(annotation, mask):
+    """The XOR of the annotations of the edges in ``mask``."""
+    a = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            a ^= annotation[i]
+    return a
+
+
 def _check_annotations(k):
-    """The annotations against an elimination of their own: a cycle's class
-    is 0 exactly when it is a sum of boundaries, the classes have rank
+    """The annotations and ``homologous`` against an elimination of their
+    own: a cycle's class is 0 exactly when it is a sum of boundaries, two
+    cycles are homologous exactly when their sum is, the classes have rank
     beta1, and every cycle inside F = V - Z has class 0."""
     g = skeleton(k)
-    annotation, kept, cycle_rank = _boundary_elimination(k)
+    elim = eliminate(g, k.boundaries)
+    annotation = elim.annotation
     beta1 = homology_profile(k).beta1
-    assert beta1 == cycle_rank - len(kept)
+    assert beta1 == elim.rank == len(elim.nontree) - len(elim.kept)
     assert all(0 <= a < 1 << beta1 for a in annotation)
     assert helpers.dense_rank([[a >> j & 1 for j in range(beta1)] for a in annotation]) == beta1
     in_span = _boundary_reducer(k)
@@ -343,7 +366,9 @@ def _check_annotations(k):
                 z ^= b
         cycles.append(z)
     for z in cycles:
-        assert (homology_class(annotation, z) == 0) == in_span(z)
+        assert (_class(annotation, z) == 0) == in_span(z)
+    for z1, z2 in zip(cycles, rng.sample(cycles, len(cycles))):
+        assert homologous(k, cycle_from_mask(g, z1), cycle_from_mask(g, z2)) == in_span(z1 ^ z2)
     for block, n, edges in _local_blocks(g):
         local = [annotation[i] for i in block]
         roots = _feedback_vertex_set(n, edges, local)
@@ -351,7 +376,7 @@ def _check_annotations(k):
         inside = [i for i, (x, y, _) in enumerate(edges) if x not in roots and y not in roots]
         within_f = Graph(n, [edges[i] for i in inside])
         for c in fundamental_cycles(within_f):
-            assert not homology_class([local[i] for i in inside], c.mask)
+            assert not _class([local[i] for i in inside], c.mask)
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,9 +398,11 @@ def test_mhb_tight_runs_the_kernel_from_the_homology_roots_only(monkeypatch):
     # one block, so the kernel runs once per homology root; the feedback
     # vertex set the MCB engines count from is larger
     k = _holed_torus(random.Random(0), 6, 0.9)
-    (block, n, edges), = _local_blocks(skeleton(k))
-    local = [_boundary_elimination(k)[0][i] for i in block]
-    homology_roots = _feedback_vertex_set(n, edges, local)
+    g = skeleton(k)
+    (block, n, edges), = _local_blocks(g)
+    homology = eliminate(g, k.boundaries).annotation
+    homology_roots = _feedback_vertex_set(n, edges, [homology[i] for i in block])
+    unit = eliminate(g).annotation
     runs = []
 
     def recording_kernel(adj, root):
@@ -385,5 +412,5 @@ def test_mhb_tight_runs_the_kernel_from_the_homology_roots_only(monkeypatch):
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     report = mhb_tight(k)
     assert runs == homology_roots
-    assert len(runs) < len(_feedback_vertex_set(n, edges))
+    assert len(runs) < len(_feedback_vertex_set(n, edges, [unit[i] for i in block]))
     assert len(report.cycles) == homology_profile(k).beta1 > 0

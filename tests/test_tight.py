@@ -23,6 +23,7 @@ from minbasis.graph import (
     apsp,
     cycle_from_mask,
     cyclomatic_number,
+    eliminate,
     shortest_path_keys,
     weighted_adjacency,
 )
@@ -565,17 +566,26 @@ def _is_simple_cycle(g, c):
     return path is not None and path[-1] == e.v and c.base == e.w + sum(g.edges[i].w for i in rest)
 
 
+def _block_roots(g):
+    """(n, edges, roots) of each cyclic block, the roots taken as the MCB
+    engines take them: under the annotation of the graph's elimination."""
+    annotation = eliminate(g).annotation
+    return [
+        (n, edges, _feedback_vertex_set(n, edges, [annotation[i] for i in block]))
+        for block, n, edges in _local_blocks(g)
+    ]
+
+
 def _check_basis_cycles(g):
     """Each block is counted from the roots Z of its feedback vertex set
     alone: the list must hold every tight cycle and nothing but distinct
     simple cycles, and G - Z must be a forest in every block."""
-    rooted = basis_cycles(g).cycles
+    rooted = basis_cycles(g, eliminate(g).annotation).cycles
     keys = [(c.base, c.mask) for c in rooted]
     assert keys == sorted(set(keys))
     assert all(_is_simple_cycle(g, c) for c in rooted)
     assert {c.mask for c in enumerate_tight_cycles(g).cycles} <= {c.mask for c in rooted}
-    for _, n, edges in _local_blocks(g):
-        roots = _feedback_vertex_set(n, edges)
+    for n, edges, roots in _block_roots(g):
         assert roots == sorted(set(roots)) and set(roots) <= set(range(n))
         tree = list(range(n))  # a union-find over the forest, written afresh
 
@@ -612,13 +622,11 @@ def test_basis_cycles_hold_every_tight_cycle_on_seeded_graphs():
 
 
 def test_feedback_roots_match_the_recorded_lists():
-    # with no annotation the greedy keeps the roots of the plain forest
-    # greedy: the repr of every block's roots on the seeded graphs (676
-    # blocks), recorded before the union-find carried potentials
-    roots = [
-        [_feedback_vertex_set(n, edges) for _, n, edges in _local_blocks(g)]
-        for g in _seeded_graphs()
-    ]
+    # under a graph's annotation every cycle has a nonzero class, so the
+    # greedy keeps the roots of the plain forest greedy: the repr of every
+    # block's roots on the seeded graphs (676 blocks), recorded before the
+    # union-find carried potentials
+    roots = [[r for _, _, r in _block_roots(g)] for g in _seeded_graphs()]
     text = repr(roots)
     assert text.startswith("[[[5, 9, 11]], [[3, 4], [1], [1]], [[1]], [[1], [2], [0], [1]], ")
     assert sum(map(len, roots)) == 676
@@ -637,5 +645,6 @@ def test_basis_cycles_run_the_kernel_from_the_roots_only(monkeypatch):
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     # K4: vertices 0 and 1 make the forest, and 2 and 3 each close a cycle in it
     g = k4()
-    assert canonical(basis_cycles(g)) == canonical(enumerate_tight_cycles(g))
+    rooted = basis_cycles(g, eliminate(g).annotation)
+    assert canonical(rooted) == canonical(enumerate_tight_cycles(g))
     assert runs == [2, 3, 0, 1, 2, 3]
