@@ -4,7 +4,8 @@ Fixture expectations store weight multisets and counts, never concrete
 edge sets: bases are not unique but their weight multisets are, so the
 expectations stay stable across any correct implementation.  Everything
 written by :func:`generate_fixtures` is derived from the oracle module
-and regenerates bit-identically for a fixed seed.
+and regenerates bit-identically for a fixed seed; a complex's ranks are
+``oracle.brute_mhb``'s counts, not the production elimination's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 from . import oracle
 from .graph import Edge, Graph, cyclomatic_number, format_graph
-from .simplicial import SimplicialComplex, format_complex, homology_profile
+from .simplicial import SimplicialComplex, format_complex, skeleton
 
 
 # -- named graphs -----------------------------------------------------------
@@ -180,13 +181,13 @@ def _graph_expectations(g: Graph) -> dict:
 
 
 def _complex_expectations(k: SimplicialComplex) -> dict:
-    profile = homology_profile(k)
+    nu = cyclomatic_number(skeleton(k))
     basis = oracle.brute_mhb(k)
     return {
-        "beta0": profile.beta0,
-        "beta1": profile.beta1,
-        "boundary_rank": profile.boundary_rank,
-        "cycle_rank": profile.cycle_rank,
+        "beta0": k.n - k.m + nu,
+        "beta1": len(basis.cycles),
+        "boundary_rank": len(basis.boundary_profile),
+        "cycle_rank": nu,
         "total_weight": basis.total_weight,
         "weights": list(basis.weight_multiset()),
     }

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InternalInvariantError, ParseError
 from .gf2 import Gf2Vector, SpanTracker, bit_indices, bit_mask
@@ -384,16 +384,21 @@ def parse_ints(fields: list[str]) -> list[int]:
     return list(map(int, fields))
 
 
+def records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based line number and whitespace-split fields of each line of
+    the text formats that is neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and fields[0][0] != "#":
+            yield lineno, fields
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the graph text format; errors carry 1-based line numbers."""
     n = None
     m_declared = None
     edges: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in records(text):
         if n is None:
             if fields[0] != "graph" or len(fields) != 3:
                 raise ParseError(f"line {lineno}: expected header 'graph <n> <m>'")

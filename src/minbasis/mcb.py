@@ -9,7 +9,7 @@ feedback vertex set of each block: it holds every tight cycle and
 possibly a few more, and the ``tight`` module docstring shows that any
 such list gives the same picks in the same order, and the same
 certificate, as the tight list itself.  A caller may pass the tight
-list instead.
+list instead; out of strict (base, mask) order it raises ``ValueError``.
 
 * ``earliest``  - keep the first independent cycles of the list (the
   earliest basis of the cycle matrix): the elimination's earliest scan,
@@ -81,14 +81,19 @@ class BasisReport:
         return tuple(sorted(c.base for c in self.cycles))
 
 
-def _tight_set(g: Graph, tight: TightCycleSet | None, annotation: list[int]) -> TightCycleSet:
-    """``tight`` checked against ``g``, or ``basis_cycles`` counted with ``annotation``."""
+def _tight_set(g: Graph, tight: TightCycleSet | None, annotation: list[int]) -> list[Cycle]:
+    """``tight.cycles``, checked against ``g`` and for strictly increasing
+    (base, mask), or ``basis_cycles`` counted with ``annotation``."""
     if tight is None:
         return basis_cycles(g, annotation)
+    last = (-1, 0)  # below every key: weights are non-negative
     for c in tight.cycles:
         if c.length != g.m:
             raise ValueError(f"dimension mismatch: {c.length} != {g.m}")
-    return tight
+        if (c.base, c.mask) <= last:
+            raise ValueError("tight cycles are not strictly sorted by (base, mask)")
+        last = c.base, c.mask
+    return tight.cycles
 
 
 def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
@@ -100,7 +105,7 @@ def mcb_earliest(g: Graph, tight: TightCycleSet | None = None) -> BasisReport:
     independence, the first spanning independent set is a minimum basis.
     """
     elim = eliminate(g)
-    cycles = elim.earliest(lambda: _tight_set(g, tight, elim.annotation).cycles)
+    cycles = elim.earliest(lambda: _tight_set(g, tight, elim.annotation))
     return BasisReport("earliest", cycles)
 
 
@@ -121,10 +126,10 @@ def _support_basis(
     once ``pick(i)`` has read it.
     """
     elim = eliminate(g)
-    tcs = _tight_set(g, tight, elim.annotation)
+    listed = _tight_set(g, tight, elim.annotation)
     nontree = elim.nontree
     support = [1 << e for e in nontree]
-    holds = transpose([c.mask for c in tcs.cycles], g.m)  # the listed cycles holding each edge
+    holds = transpose([c.mask for c in listed], g.m)  # the listed cycles holding each edge
     parity = [holds[e] for e in nontree]
     del holds  # so that the rows the update releases are freed
     cycles: list[Cycle] = []
@@ -134,7 +139,7 @@ def _support_basis(
         if not row:
             raise InfeasibleSupportError(_NO_ODD_CYCLE)
         j = (row & -row).bit_length() - 1
-        cycles.append(tcs.cycles[j])
+        cycles.append(listed[j])
         return j
 
     update(support, parity, pick)

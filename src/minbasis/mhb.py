@@ -29,7 +29,7 @@ def mhb_tight(k: SimplicialComplex) -> BasisReport:
     counted from the homology roots of each block."""
     g = skeleton(k)
     elim = eliminate(g, k.boundaries)
-    cycles = elim.earliest(lambda: basis_cycles(g, elim.annotation).cycles)
+    cycles = elim.earliest(lambda: basis_cycles(g, elim.annotation))
     return BasisReport("tight", cycles, boundary_profile=elim.kept)
 
 

@@ -4,18 +4,19 @@ Everything here prefers exhaustive enumeration over cleverness so the
 results can serve as an independent check of the production engines:
 cycle vectors come from all combinations of fundamental cycles, shortest
 paths from enumerating every simple path, tightness from the raw
-pairwise definition, and bases from weight-sorted greedy selection.
-The budgets ``MAX_CYCLE_RANK`` and ``MAX_VERTICES`` refuse instances
-that would blow up instead of hanging.
+pairwise definition, and both bases from one weight-sorted greedy whose
+tracker takes a complex's boundaries first, so beta1 is its own count,
+not the production elimination's.  The budgets ``MAX_CYCLE_RANK`` and
+``MAX_VERTICES`` refuse instances that would blow up instead of hanging.
 """
 
 from __future__ import annotations
 
 from .errors import BudgetExceededError, InternalInvariantError
-from .gf2 import SpanTracker
+from .gf2 import SpanTracker, bit_mask
 from .graph import Cycle, Graph, cycle_from_mask, cyclomatic_number, fundamental_cycles
 from .mcb import BasisReport
-from .simplicial import SimplicialComplex, boundary_matrix, homology_profile, skeleton
+from .simplicial import SimplicialComplex, skeleton
 from .tight import TightCycleSet
 
 ORACLE_VERSION = 1
@@ -44,35 +45,29 @@ def all_cycle_vectors(g: Graph) -> list[Cycle]:
     return out
 
 
-def brute_mcb(g: Graph) -> BasisReport:
-    """Greedy minimum basis over the full cycle space, sorted by weight."""
+def _greedy(g: Graph, boundaries: tuple[int, ...]) -> BasisReport:
+    """Greedy minimum basis modulo the cycles ``boundaries``: one tracker
+    takes them in order, keeping the ``boundary_profile``, then every cycle
+    vector by weight, keeping nu minus their rank."""
     nu = _check_rank_budget(g)
     vectors = sorted(all_cycle_vectors(g), key=lambda c: c.weight)
     tracker = SpanTracker()
+    kept = tuple(t for t, bits in enumerate(boundaries) if tracker.add(bits))
     chosen = [c for c in vectors if tracker.add(c.mask)]
-    if len(chosen) != nu:
-        raise InternalInvariantError("cycle vectors did not span the cycle space")
-    return BasisReport("oracle", chosen)
+    if len(chosen) != nu - len(kept):
+        raise InternalInvariantError(f"greedy kept {len(chosen)} cycles, not {nu} - {len(kept)}")
+    return BasisReport("oracle", chosen, boundary_profile=kept)
+
+
+def brute_mcb(g: Graph) -> BasisReport:
+    """Greedy minimum basis over the full cycle space, sorted by weight."""
+    return _greedy(g, ())
 
 
 def brute_mhb(k: SimplicialComplex) -> BasisReport:
-    """Greedy minimum basis modulo boundaries over the full cycle space."""
-    g = skeleton(k)
-    vectors = sorted(all_cycle_vectors(g), key=lambda c: c.weight)
-    profile = homology_profile(k)
-    tracker = SpanTracker()
-    boundary_sel = [
-        t for t, col in enumerate(boundary_matrix(k, 2).columns) if tracker.add(col.bits)
-    ]
-    chosen = []
-    for c in vectors:
-        if tracker.add(c.mask):
-            chosen.append(c)
-    if len(chosen) != profile.beta1:
-        raise InternalInvariantError(
-            f"greedy kept {len(chosen)} cycles, expected beta1 = {profile.beta1}"
-        )
-    return BasisReport("oracle", chosen, boundary_profile=tuple(boundary_sel))
+    """Greedy minimum basis modulo the triangle boundaries over the full
+    cycle space; beta1 is the number of cycles it keeps."""
+    return _greedy(skeleton(k), k.boundaries)
 
 
 def _elementary_cycles(g: Graph) -> list[tuple[list[int], list[int]]]:
@@ -136,16 +131,12 @@ def brute_tight_cycles(g: Graph) -> TightCycleSet:
     for verts, walk in walks:
         k = len(walk)
         total_b = sum(g.edges[e].w for e in walk)
-        total_m = 0
-        for e in walk:
-            total_m |= 1 << e
+        total_m = bit_mask(walk)
         ok = True
         for i in range(k):
             for j in range(i + 1, k):
                 arc_b = sum(g.edges[e].w for e in walk[i:j])
-                arc_m = 0
-                for e in walk[i:j]:
-                    arc_m |= 1 << e
+                arc_m = bit_mask(walk[i:j])
                 one = (arc_b, arc_m)
                 two = (total_b - arc_b, total_m ^ arc_m)
                 if min(one, two) != table[verts[i]][verts[j]]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .gf2 import Gf2Matrix
-from .graph import MAX_WEIGHT, Edge, Graph, eliminate, parse_ints
+from .graph import MAX_WEIGHT, Edge, Graph, eliminate, parse_ints, records
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,7 @@ def parse_complex(text: str, auto_close: bool = False) -> SimplicialComplex:
     n = None
     edges: list[tuple[int, int, int]] = []
     triangles: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in records(text):
         if n is None:
             if fields[0] != "complex" or len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected header 'complex <n>'")

@@ -129,9 +129,7 @@ from .graph import Adjacency, find, shortest_path_keys
 
 @dataclass
 class TightCycleSet:
-    """Distinct simple cycles strictly sorted by weight: all tight cycles
-    from ``enumerate_tight_cycles``, and from ``basis_cycles`` every tight
-    cycle and possibly a few more."""
+    """All tight cycles, strictly sorted by weight."""
 
     cycles: list[Cycle]
 
@@ -231,9 +229,11 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[in
     (x,y) + path(y,v) is counted only when the two paths are edge-disjoint
     and the joining edge lies on neither; each such edge set is a simple
     cycle, because paths that met at a vertex other than the root would
-    share the path up to it.  ``done`` is the set of edges incident to the
-    roots already run, the OR of their ``incident`` masks after each scan.
-    A path's edges touch exactly its vertices, so ``path & done`` (``path``
+    share the path up to it.  ``done`` is the edges tested at the roots
+    already run, each root adding its ``owned`` after its scan; an edge
+    incident to an earlier root was tested at its lowest endpoint in Z,
+    earlier still, so these are the edges incident to earlier roots.  A
+    path's edges touch exactly its vertices, so ``path & done`` (``path``
     = ``tie[x] | tie[y]``) is nonzero when either path passes an earlier
     root.  A candidate whose two paths pass none has the current root as
     its lowest root and is stored with count 1; any other candidate only
@@ -268,12 +268,9 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[in
     adj: Adjacency = [[] for _ in range(n)]
     live: dict[int, tuple[int, int, int]] = {}
     tested_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    incident = [0] * n
     ends = [0, 0, 0]  # ends[k]: the edges with k endpoints in Z
     bit = 1
     for x, y, w in edges:
-        incident[x] |= bit
-        incident[y] |= bit
         if y < x:
             x, y = y, x
         if not is_root[x]:
@@ -293,7 +290,9 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[in
     done = 0
     for root in roots:
         tie = shortest_path_keys(adj, root)[1]
+        owned = 0
         for y, w, bit in tested_at[root]:
+            owned |= bit
             if tie[y] != bit:
                 kept.append(tie[y] | bit)
                 if live.pop(bit, None):
@@ -313,7 +312,7 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[in
                     counts[mask] = c + 1
             else:
                 counts[mask] = 1
-        done |= incident[root]
+        done |= owned
     e1, e2 = ends[1], ends[2]
     kept += [
         mask for mask, times in counts.items()
@@ -468,7 +467,7 @@ def _local_blocks(g: Graph) -> Iterator[tuple[list[int], int, list[tuple[int, in
 
 def _rooted_cycles(
     g: Graph, roots_of: Callable[[list[int], int, list[tuple[int, int, int]]], list[int]]
-) -> TightCycleSet:
+) -> list[Cycle]:
     """The cycles ``_block_tight_masks`` keeps in each cyclic block from the
     roots ``roots_of(block, n, edges)``, lifted to ``g`` and sorted by weight.
 
@@ -485,7 +484,7 @@ def _rooted_cycles(
                 base += edges[i][2]
                 lifted.append(block[i])
             keys.append((base, bit_mask(lifted)))
-    return TightCycleSet(_sorted_cycles(g.m, keys))
+    return _sorted_cycles(g.m, keys)
 
 
 def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycleSet:
@@ -504,18 +503,18 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     vertex, has left the scan; (d) cycles of geodesic edges keep their
     exact counts.  ``pairs`` is accepted for existing callers and ignored.
     """
-    return _rooted_cycles(g, lambda block, n, edges: list(range(n)))
+    return TightCycleSet(_rooted_cycles(g, lambda block, n, edges: list(range(n))))
 
 
-def basis_cycles(g: Graph, annotation: list[int]) -> TightCycleSet:
+def basis_cycles(g: Graph, annotation: list[int]) -> list[Cycle]:
     """Simple cycles sorted by tie-broken weight: the list the basis engines read.
 
     Each block is counted from the roots of ``_feedback_vertex_set`` alone,
     ``annotation`` being the classes of an elimination of ``g``, so the list
     holds every tight cycle of nonzero class (with no boundaries, every
-    tight cycle) and possibly a few more.  The module docstring says why
-    the engines pick the same cycles, with the same certificate, from it as
-    from the tight list.
+    tight cycle) and possibly a few more, so it is a plain list and not a
+    ``TightCycleSet``.  The module docstring says why the engines pick the
+    same cycles, with the same certificate, from it as from the tight list.
     """
 
     def roots_of(block: list[int], n: int, edges: list[tuple[int, int, int]]) -> list[int]:

@@ -246,6 +246,21 @@ def test_engines_reject_tight_set_of_another_graph(engine):
         engine(wider, tcs)
 
 
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_engines_reject_a_tight_set_out_of_weight_order(engine):
+    # the engines read the list in order: read reversed, this one would
+    # give a basis of weight 76 against the oracle's 69
+    rng = random.Random(3)
+    random_connected_graph(rng, 6, 10, 8)
+    g = random_connected_graph(rng, 6, 10, 8)
+    assert (g.n, g.m, brute_mcb(g).total_weight) == (7, 10, 69)
+    cycles = enumerate_tight_cycles(g).cycles
+    assert engine(g, TightCycleSet(cycles)).total_weight == 69
+    for listed in (cycles[::-1], cycles[:1] + cycles):  # reversed; a repeat
+        with pytest.raises(ValueError, match="not strictly sorted"):
+            engine(g, TightCycleSet(listed))
+
+
 def test_parallel_edge_graph():
     g = Graph(2, [(0, 1, 2), (0, 1, 3), (0, 1, 7)])
     oracle_report = brute_mcb(g)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,18 +7,23 @@ from minbasis.errors import BudgetExceededError
 from minbasis.fixtures import (
     c5,
     filled_triangle,
+    generate_fixtures,
     hollow_triangle,
     k4,
     k23,
     mobius_strip,
     path_graph,
     petersen,
+    random_complex,
     random_connected_graph,
     two_triangles,
 )
 from minbasis.gf2 import SpanTracker
-from minbasis.graph import Graph, cyclomatic_number
+from minbasis.graph import Graph, cyclomatic_number, eliminate
 from minbasis.oracle import all_cycle_vectors, brute_mcb, brute_mhb, brute_tight_cycles
+from minbasis.simplicial import load_complex, skeleton
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_all_cycle_vectors_counts():
@@ -102,6 +108,30 @@ def test_brute_mhb_values():
     assert hollow.total_weight == 3 and len(hollow.cycles) == 1
     mobius = brute_mhb(mobius_strip())
     assert mobius.total_weight == 3 and len(mobius.cycles) == 1
+
+
+def test_oracle_and_fixtures_run_without_the_elimination(monkeypatch, tmp_path):
+    # the oracle checks the engines, so it must not lean on their elimination
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called eliminate")
+
+    monkeypatch.setattr("minbasis.graph.eliminate", refuse)
+    monkeypatch.setattr("minbasis.simplicial.eliminate", refuse)
+    assert brute_mcb(petersen()).total_weight == 30
+    assert brute_mhb(mobius_strip()).total_weight == 3
+    manifests = generate_fixtures(7, tmp_path)
+    assert {m["name"]: m["expected"] for m in manifests}["torus7"]["beta1"] == 2
+
+
+def test_brute_mhb_ranks_match_the_elimination():
+    complexes = [load_complex(path) for path in sorted(FIXTURES.glob("*.scx"))]
+    assert len(complexes) == 15
+    complexes += [random_complex(random.Random(seed)) for seed in range(200)]
+    for k in complexes:
+        report = brute_mhb(k)
+        elim = eliminate(skeleton(k), k.boundaries)
+        assert len(report.cycles) == elim.rank
+        assert report.boundary_profile == elim.kept
 
 
 def test_brute_tight_values():
