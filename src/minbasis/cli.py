@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Cycle reports (mcb, mhb, tight-cycles) are JSON listing every cycle or
-text listing at most 50.  bench instance counts must be >= 0.
+text listing at most 50.  A JSON report is its ``json.dumps(indent=2)``
+form byte for byte: every cycle list, bench's disagreement dump included,
+is written as that text by ``_cycles_json``, every other key by
+``json.dumps``.  bench instance counts must be >= 0.
 
 Exit codes: 0 success, 1 input or validation problems, 2 broken internal
 invariants or exhausted memory or recursion depth.  Reports go to
@@ -21,6 +24,7 @@ from typing import Optional, TextIO
 
 from . import fixtures, oracle
 from .errors import InternalInvariantError
+from .gf2 import bit_indices
 from .graph import cyclomatic_number, load_graph, parse_ints
 from .mcb import ENGINES, BasisReport
 from .mhb import mhb_tight, mhb_via_mcb
@@ -125,26 +129,48 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _cycles_json(cycles) -> str:
+    """``json.dumps(indent=2)`` of a report's cycle list, byte for byte, as
+    the value of a top-level key: one ``{"edges": [...], "weight": w}``
+    block per cycle, its edge indices ascending.
+
+    The only writer of cycle lists.  It formats the text itself: a dict per
+    cycle for ``json.dumps`` cost more than the rest of the report.
+    """
+    if not cycles:
+        return "[]"
+    blocks = []
+    for c in cycles:
+        edges = ",\n        ".join(map(str, bit_indices(c.mask)))
+        listed = f"[\n        {edges}\n      ]" if edges else "[]"
+        blocks.append(f'    {{\n      "edges": {listed},\n      "weight": {c.base}\n    }}')
+    return "[\n" + ",\n".join(blocks) + "\n  ]"
+
+
 def _write(payload: dict, fmt: str, out: TextIO, text_keys: tuple[str, ...] = ()) -> None:
-    """Write ``payload`` as JSON, or as text: one ``key: value`` line per
-    text key, then at most ``TEXT_CYCLE_CAP`` lines of ``payload["cycles"]``."""
+    """Write ``payload`` as ``json.dumps(payload, indent=2)`` would, or as
+    text: one ``key: value`` line per text key, then at most
+    ``TEXT_CYCLE_CAP`` lines of ``payload["cycles"]``.
+
+    A ``"cycles"`` key, always the last, holds ``Cycle`` objects; its JSON
+    comes from ``_cycles_json`` and the other keys' from ``json.dumps``.
+    """
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2) + "\n")
+        text = json.dumps({k: v for k, v in payload.items() if k != "cycles"}, indent=2)
+        if "cycles" in payload:  # the list goes in place of the closing "\n}"
+            out.write(f'{text[:-2]},\n  "cycles": ')
+            out.write(_cycles_json(payload["cycles"]))  # not concatenated: each copy adds to peak memory
+            text = "\n}"
+        out.write(text + "\n")
         return
     for key in text_keys:
         out.write(f"{key}: {payload[key]}\n")
     cycles = payload["cycles"]
     for i, c in enumerate(cycles[:TEXT_CYCLE_CAP]):
-        out.write(f"cycle {i}: weight={c['weight']} edges={c['edges']}\n")
+        out.write(f"cycle {i}: weight={c.base} edges={bit_indices(c.mask)}\n")
     hidden = len(cycles) - TEXT_CYCLE_CAP
     if hidden > 0:
         out.write(f"... {hidden} more cycles not shown (JSON output is never truncated)\n")
-
-
-def _cycles_payload(cycles) -> list[dict]:
-    return [
-        {"edges": list(c.edge_indices()), "weight": c.base} for c in cycles
-    ]
 
 
 def _basis_payload(report: BasisReport, rank: str) -> dict:
@@ -155,7 +181,7 @@ def _basis_payload(report: BasisReport, rank: str) -> dict:
         "engine": report.engine,
         rank: len(report.cycles),
         "total_weight": report.total_weight,
-        "cycles": _cycles_payload(report.cycles),
+        "cycles": report.cycles,
     }
 
 
@@ -163,7 +189,7 @@ def _tight_payload(tcs: TightCycleSet) -> dict:
     return {
         "count": len(tcs.cycles),
         "total_length": tcs.total_length,
-        "cycles": _cycles_payload(tcs.cycles),
+        "cycles": tcs.cycles,
     }
 
 
@@ -249,8 +275,9 @@ def _run_bench(cfg: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         )
     if not all_agree:
         for name, reports_payload in disagreements:
-            err.write(f"disagreement on {name}:\n")
-            err.write(json.dumps(reports_payload, indent=2) + "\n")
+            for engine_name, payload in reports_payload.items():
+                err.write(f"disagreement on {name}, engine {engine_name}:\n")
+                _write(payload, "json", err)
         raise InternalInvariantError("engines disagree; reports dumped to stderr")
     return 0
 

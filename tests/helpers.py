@@ -229,3 +229,29 @@ def path_key(edges, path):
         base += edges[idx][2]
         mask |= 1 << idx
     return base, mask
+
+
+# -- CLI reports ----------------------------------------------------------------
+
+def cycle_dicts(cycles):
+    """A report's cycles as the dicts ``json.dumps`` was once given: one
+    ``{"edges": [...], "weight": w}`` per cycle, edges ascending."""
+    return [
+        {"edges": [i for i, b in enumerate(reversed(f"{c.mask:b}")) if b == "1"], "weight": c.base}
+        for c in cycles
+    ]
+
+
+def basis_dict(report, rank):
+    """The dict a basis report was written from, ``rank`` naming its count."""
+    return {
+        "engine": report.engine,
+        rank: len(report.cycles),
+        "total_weight": report.total_weight,
+        "cycles": cycle_dicts(report.cycles),
+    }
+
+
+def tight_dict(tcs):
+    """The dict a tight cycle list was written from."""
+    return {"count": len(tcs.cycles), "total_length": tcs.total_length, "cycles": cycle_dicts(tcs.cycles)}

@@ -10,17 +10,24 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 import minbasis
-from minbasis import cli
+from minbasis import cli, oracle
 from minbasis.fixtures import (
     complete_graph,
+    filled_triangle,
     k4,
     path_graph,
+    random_complex,
+    random_connected_graph,
     random_graph_nm,
     torus_seven,
 )
-from minbasis.graph import load_graph, save_graph
-from minbasis.simplicial import save_complex
+from minbasis.graph import MAX_WEIGHT, Graph, cyclomatic_number, load_graph, save_graph
+from minbasis.simplicial import SimplicialComplex, load_complex, save_complex
+from minbasis.tight import enumerate_tight_cycles
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run_cli(argv):
@@ -253,6 +260,33 @@ def test_bench_agrees_and_is_deterministic():
     assert code2 == 0 and out2 == out
 
 
+def check_dumps(out, err, seed, graphs, complexes):
+    """Every engine's report on each instance ``out`` marks DISAGREE is
+    dumped to ``err`` as ``json.dumps(indent=2)`` of its dict, byte for
+    byte, and lists that engine's cycles."""
+    rng = random.Random(seed)  # the bench draws its instances in this order
+    mcb_engines = sorted(cli.ENGINES.items())
+    mhb_engines = [("tight", cli.mhb_tight), ("via_mcb", cli.mhb_via_mcb)]
+    jobs = {f"g{i:03d}": (random_connected_graph(rng), mcb_engines, "nu") for i in range(graphs)}
+    jobs |= {f"c{i:03d}": (random_complex(rng), mhb_engines, "beta1") for i in range(complexes)}
+    dumps = {}
+    for dump in err.split("disagreement on ")[1:]:
+        header, text = dump.split(":\n", 1)
+        name, engine = header.split(", engine ")
+        report, end = json.JSONDecoder().raw_decode(text)
+        assert text[end] == "\n"
+        dumps.setdefault(name, {})[engine] = (report, text[: end + 1])
+    assert sorted(dumps) == [line.split()[1] for line in out.splitlines() if line.endswith("DISAGREE")]
+    for name, dumped in dumps.items():
+        instance, engines, rank = jobs[name]
+        assert list(dumped) == [e for e, _ in engines]
+        for e, engine in engines:
+            expected = helpers.basis_dict(engine(instance), rank)
+            report, text = dumped[e]
+            assert report["cycles"] == expected["cycles"]
+            assert text == json.dumps(expected, indent=2) + "\n"
+
+
 def test_bench_empty_sets():
     code, out, _ = run_cli(["bench", "--seed", "3", "--graphs", "0", "--complexes", "0"])
     assert code == 0
@@ -270,6 +304,7 @@ def test_bench_detects_disagreement(monkeypatch):
     assert code == 2
     assert "DISAGREE" in out
     assert "disagreement on" in err
+    check_dumps(out, err, 1, 2, 0)
 
 
 def test_bench_requires_the_mcb_engines_to_select_the_same_cycles(monkeypatch):
@@ -285,6 +320,7 @@ def test_bench_requires_the_mcb_engines_to_select_the_same_cycles(monkeypatch):
     assert code == 2
     assert "DISAGREE" in out
     assert "disagreement on" in err
+    check_dumps(out, err, 1, 2, 0)
 
 
 @pytest.mark.parametrize(
@@ -304,6 +340,99 @@ def test_bench_requires_the_mhb_engines_to_select_the_same_cycles(monkeypatch, a
     assert code == 2
     assert "DISAGREE" in out
     assert "disagreement on" in err
+    check_dumps(out, err, 1, 0, 10)
+
+
+def dict_output(payload, fmt, text_keys):
+    """stdout for the report dict ``payload`` as the CLI wrote it when it
+    built one dict per cycle: ``json.dumps(indent=2)``, or the text lines."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    cycles = payload["cycles"]
+    lines = [f"{key}: {payload[key]}" for key in text_keys]
+    lines += [f"cycle {i}: weight={c['weight']} edges={c['edges']}" for i, c in enumerate(cycles[:50])]
+    if len(cycles) > 50:
+        lines.append(f"... {len(cycles) - 50} more cycles not shown (JSON output is never truncated)")
+    return "".join(line + "\n" for line in lines)
+
+
+def check_graph_reports(path, engines=tuple(cli.ENGINES), oracles=True):
+    """mcb (each of ``engines``), tight-cycles and, with ``oracles``, oracle
+    mcb and tight stdout on ``path`` equal ``dict_output`` of their dicts."""
+    g = load_graph(path)
+    for engine in engines:
+        payload = helpers.basis_dict(cli.ENGINES[engine](g), "nu")
+        for fmt in ("json", "text"):
+            got = run_cli(["mcb", "--engine", engine, str(path), "--format", fmt])
+            assert got == (0, dict_output(payload, fmt, ("engine", "nu", "total_weight")), "")
+    payload = {"nu": cyclomatic_number(g), **helpers.tight_dict(enumerate_tight_cycles(g))}
+    for fmt in ("json", "text"):
+        got = run_cli(["tight-cycles", str(path), "--format", fmt])
+        assert got == (0, dict_output(payload, fmt, ("count", "total_length")), "")
+    if oracles:
+        references = [
+            ("mcb", helpers.basis_dict(oracle.brute_mcb(g), "nu")),
+            ("tight", helpers.tight_dict(oracle.brute_tight_cycles(g))),
+        ]
+        for mode, reference in references:
+            payload = {"oracle_version": oracle.ORACLE_VERSION, **reference}
+            assert run_cli(["oracle", mode, str(path)]) == (0, dict_output(payload, "json", ()), "")
+
+
+def check_complex_reports(path):
+    """mhb (tight, and via-mcb over each MCB engine) and oracle mhb stdout
+    on ``path`` equal ``dict_output`` of their dicts."""
+    k = load_complex(path)
+    runs = [(["--engine", "tight"], cli.mhb_tight(k))]
+    runs += [
+        (["--engine", "via-mcb", "--mcb-engine", e], cli.mhb_via_mcb(k, mcb_engine=e))
+        for e in sorted(cli.ENGINES)
+    ]
+    for flags, report in runs:
+        payload = helpers.basis_dict(report, "beta1")
+        for fmt in ("json", "text"):
+            got = run_cli(["mhb", *flags, str(path), "--format", fmt])
+            assert got == (0, dict_output(payload, fmt, ("engine", "beta1", "total_weight")), "")
+    payload = {"oracle_version": oracle.ORACLE_VERSION, **helpers.basis_dict(oracle.brute_mhb(k), "beta1")}
+    assert run_cli(["oracle", "mhb", str(path)]) == (0, dict_output(payload, "json", ()), "")
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.grf")), ids=lambda p: p.stem)
+def test_graph_reports_match_the_dict_writer_on_fixtures(path):
+    check_graph_reports(path)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.scx")), ids=lambda p: p.stem)
+def test_complex_reports_match_the_dict_writer_on_fixtures(path):
+    check_complex_reports(path)
+
+
+def test_reports_match_the_dict_writer_on_large_and_edge_cases(tmp_path):
+    def saved(name, instance, save=save_graph):
+        path = tmp_path / name
+        save(instance, path)
+        return path
+
+    # nu = 1,537: the report the cycle-list writer was made for
+    check_graph_reports(saved("dense.grf", random_graph_nm(random.Random(7), 64, 1600)),
+                        engines=("depina",), oracles=False)
+    # a tree with short chords: many blocks, joined by bridges
+    rng = random.Random(5)
+    edges = [(v - rng.randint(1, min(4, v)), v, rng.randint(1, 9)) for v in range(1, 300)]
+    edges += [(u, u + rng.randint(2, 4), rng.randint(1, 9)) for u in rng.sample(range(295), 30)]
+    check_graph_reports(saved("blocks.grf", Graph(300, edges)), oracles=False)
+    # empty cycle lists: a forest, and a complex with beta1 = 0
+    forest = saved("forest.grf", Graph(6, [(0, 1, 2), (1, 2, 0), (3, 4, 5)]))
+    check_graph_reports(forest)
+    assert '"cycles": []' in run_cli(["mcb", str(forest), "--format", "json"])[1]
+    check_complex_reports(saved("filled.scx", filled_triangle(), save_complex))
+    # weights summing past 2**63
+    heavy = saved("heavy.grf", Graph(4, [(e.u, e.v, MAX_WEIGHT - i) for i, e in enumerate(k4().edges)]))
+    check_graph_reports(heavy)
+    assert json.loads(run_cli(["mcb", str(heavy), "--format", "json"])[1])["total_weight"] > 2**64
+    tri = filled_triangle()
+    hollow = SimplicialComplex(tri.n, tuple(e._replace(w=MAX_WEIGHT) for e in tri.edges), ())
+    check_complex_reports(saved("heavy.scx", hollow, save_complex))
 
 
 def test_bench_json_format():
