@@ -78,7 +78,7 @@ def _count(text: str) -> int:
 
 def build_parser() -> _Parser:
     """Each subparser names its handler; ``main`` calls ``ns.run(ns, out, err)``."""
-    parser = _Parser(prog="minbasis", description=__doc__)
+    parser = _Parser(prog="minbasis", description="Minimum cycle bases and minimum homology bases.")
     sub = parser.add_subparsers(
         dest="subcommand",
         metavar="{" + ",".join(SUBCOMMANDS) + "}",

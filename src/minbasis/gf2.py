@@ -137,6 +137,7 @@ class SpanTracker:
 
     def __init__(self):
         self._rows: dict[int, int] = {}  # pivot bit -> reduced vector
+        self._pivots = 0  # the mask of the kept rows' top bits
 
     @property
     def rank(self) -> int:
@@ -149,32 +150,20 @@ class SpanTracker:
             row = self._rows.get(top)
             if row is None:
                 self._rows[top] = bits
+                self._pivots |= 1 << top
                 return True
             bits ^= row
         return False
 
-    def classes(self, coords: Iterable[int]) -> list[int]:
-        """The class of each unit vector ``1 << c`` modulo the kept vectors,
-        for increasing bit positions ``coords`` that hold every bit fed.
-
-        A class has one bit per coordinate that is no pivot, and a vector
-        lies in the span exactly when the XOR of its coordinates' classes
-        is 0.  A free coordinate is its own bit; a pivot's row is its unit
-        vector plus lower coordinates, so its class is the XOR of theirs.
-        """
-        of: dict[int, int] = {}
-        free = 1
-        for c in coords:
-            row = self._rows.get(c)
-            if row is None:
-                of[c] = free
-                free <<= 1
-            else:
-                a = 0
-                for b in bit_indices(row ^ 1 << c):
-                    a ^= of[b]
-                of[c] = a
-        return list(of.values())
+    def remainder(self, bits: int) -> int:
+        """``bits`` less the row of each pivot it holds, highest first: the
+        one member of ``bits`` plus the span with no pivot bit (a nonzero
+        member of the span has a pivot as its top bit), so it is linear in
+        ``bits`` and 0 exactly on the span."""
+        rows, pivots = self._rows, self._pivots
+        while hit := bits & pivots:
+            bits ^= rows[hit.bit_length() - 1]
+        return bits
 
 
 def column_rank_profile(m: Gf2Matrix) -> RankProfile:

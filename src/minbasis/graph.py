@@ -17,8 +17,8 @@ pointers are kept; ``apsp`` holds one row of keys per root.
 
 Every basis engine starts from one ``eliminate``, which writes the
 boundaries in the spanning forest's non-tree coordinates (a graph has
-none, a complex its triangles'); its ``earliest`` scan goes on with the
-cycles of a weight-sorted list.
+none, a complex its triangles'); its ``earliest`` scan keeps the
+weight-sorted cycles whose remainders are independent.
 """
 
 from __future__ import annotations
@@ -270,9 +270,10 @@ class Elimination:
     A cycle is fixed by its ``nontree`` edges (mask ``cut``).  ``tracker``
     holds the kept boundaries, cut, and ``kept`` their indices; ``rank`` is
     the dimension left, nu for a graph and beta1 for a complex.  A cycle's
-    class is the XOR of its edges' ``annotation`` (Busaryev, Cabello, Chen,
-    Dey and Wang, SWAT 2012): 0 on tree edges and, with no boundaries,
-    ``1 << j`` on the j-th non-tree edge.
+    class is its ``remainder``, and its edges' ``annotation`` XOR to it
+    (Busaryev, Cabello, Chen, Dey and Wang, SWAT 2012): 0 on tree edges
+    and, with no boundaries, a non-tree edge's own bit.  No reader changes
+    an elimination.
     """
 
     nontree: list[int]
@@ -282,16 +283,19 @@ class Elimination:
     rank: int
     annotation: list[int]
 
+    def remainder(self, mask: int) -> int:
+        """The class of ``mask``: 0 exactly when it is boundaries plus tree edges."""
+        return self.tracker.remainder(mask & self.cut)
+
     def earliest(self, cycles: Callable[[], Iterable[Cycle]]) -> list[Cycle]:
-        """The first ``rank`` cycles of ``cycles()`` whose non-tree coordinates
-        grow the elimination's rank: on a weight-sorted list, a minimum basis.
-        ``cycles`` is not called when the rank is 0.  The scan changes
-        ``tracker``, so one elimination serves one scan."""
+        """The first ``rank`` cycles of ``cycles()`` whose classes are
+        independent: on a weight-sorted list, a minimum basis.  ``cycles``
+        is not called when the rank is 0."""
         chosen: list[Cycle] = []
         if self.rank:
-            add, cut = self.tracker.add, self.cut
+            add, remainder, cut = SpanTracker().add, self.tracker.remainder, self.cut
             for c in cycles():
-                if add(c.mask & cut):
+                if add(remainder(c.mask & cut)):
                     chosen.append(c)
                     if len(chosen) == self.rank:
                         break
@@ -311,8 +315,8 @@ def eliminate(g: Graph, boundaries: Iterable[int] = ()) -> Elimination:
     tracker = SpanTracker()
     kept = tuple(t for t, bits in enumerate(boundaries) if tracker.add(bits & cut))
     annotation = [0] * g.m
-    for e, a in zip(nontree, tracker.classes(nontree)):
-        annotation[e] = a
+    for e in nontree:
+        annotation[e] = tracker.remainder(1 << e)
     return Elimination(nontree, cut, tracker, kept, len(nontree) - len(kept), annotation)
 
 

@@ -2,9 +2,9 @@
 
 Both engines reduce the problem to a column rank profile: one
 ``graph.eliminate`` of the skeleton takes the triangle boundaries, and
-its earliest scan, the one the MCB engines run with no boundaries, goes
-on over a weight-sorted list of cycles and keeps those that grow the
-rank, that is those whose homology class is independent of the classes
+its earliest scan, the one the MCB engines run with no boundaries, reads
+a weight-sorted list of cycles and keeps those whose homology class,
+their remainder after the boundaries, is independent of the classes
 kept so far.  The kept cycles are independent modulo boundaries and,
 because the scan order is by weight, form a minimum-weight homology
 basis.  The engines differ only in the cycle list they scan:
@@ -18,7 +18,7 @@ the scan keeps the same cycles from it as from the tight list (the
 
 from __future__ import annotations
 
-from .graph import Cycle, Graph, cycle_from_mask, eliminate
+from .graph import Cycle, Graph, cycle_from_mask
 from .mcb import ENGINES, BasisReport
 from .simplicial import SimplicialComplex, skeleton
 from .tight import basis_cycles
@@ -27,8 +27,7 @@ from .tight import basis_cycles
 def mhb_tight(k: SimplicialComplex) -> BasisReport:
     """Earliest basis, modulo the triangle boundaries, of ``basis_cycles``
     counted from the homology roots of each block."""
-    g = skeleton(k)
-    elim = eliminate(g, k.boundaries)
+    g, elim = skeleton(k), k.elimination
     cycles = elim.earliest(lambda: basis_cycles(g, elim.annotation))
     return BasisReport("tight", cycles, boundary_profile=elim.kept)
 
@@ -39,8 +38,7 @@ def mhb_via_mcb(k: SimplicialComplex, mcb_engine: str = "earliest") -> BasisRepo
         engine = ENGINES[mcb_engine]
     except KeyError:
         raise ValueError(f"unknown mcb engine {mcb_engine!r}") from None
-    g = skeleton(k)
-    elim = eliminate(g, k.boundaries)
+    g, elim = skeleton(k), k.elimination
     by_weight = lambda: sorted(engine(g).cycles, key=lambda c: (c.base, c.mask))
     return BasisReport("via_mcb", elim.earliest(by_weight), boundary_profile=elim.kept)
 
@@ -57,9 +55,8 @@ def _check_cycle(g: Graph, z: Cycle, name: str) -> None:
 
 def homologous(k: SimplicialComplex, z1: Cycle, z2: Cycle) -> bool:
     """Whether two cycles differ by a sum of triangle boundaries: whether
-    their sum lies in the span of the boundaries the elimination kept."""
+    their sum has remainder 0 after the boundaries the elimination kept."""
     g = skeleton(k)
     _check_cycle(g, z1, "z1")
     _check_cycle(g, z2, "z2")
-    elim = eliminate(g, k.boundaries)
-    return not elim.tracker.add((z1.mask ^ z2.mask) & elim.cut)
+    return not k.elimination.remainder(z1.mask ^ z2.mask)

@@ -9,20 +9,21 @@ checks it again.
 
 A complex's homology is computed by ``graph.eliminate`` on its skeleton
 with the triangle boundaries, the masks kept in ``boundaries``; a graph
-is the case with no triangles.  That one elimination serves
-``homology_profile`` (``betti``), both MHB engines and
-``mhb.homologous``, and gives every edge an annotation of beta1 bits: a
-cycle's homology class is the XOR of its edges' annotations (Busaryev,
-Cabello, Chen, Dey and Wang, SWAT 2012).
+is the case with no triangles.  That one elimination, built on first use
+and kept as ``elimination``, serves ``homology_profile`` (``betti``),
+both MHB engines and ``mhb.homologous``: a cycle's homology class is its
+remainder after the kept boundaries, the XOR of its edges' annotations
+(Busaryev, Cabello, Chen, Dey and Wang, SWAT 2012).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError
 from .gf2 import Gf2Matrix
-from .graph import MAX_WEIGHT, Edge, Graph, eliminate, parse_ints, records
+from .graph import MAX_WEIGHT, Edge, Elimination, Graph, eliminate, parse_ints, records
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,11 @@ class SimplicialComplex:
     def n2(self) -> int:
         return len(self.triangles)
 
+    @cached_property
+    def elimination(self) -> Elimination:
+        """The skeleton's elimination of the boundaries, built on first use."""
+        return eliminate(self._skeleton, self.boundaries)
+
 
 @dataclass(frozen=True)
 class HomologyProfile:
@@ -114,7 +120,7 @@ def boundary_matrix(k: SimplicialComplex, p: int) -> Gf2Matrix:
 
 def homology_profile(k: SimplicialComplex) -> HomologyProfile:
     """Betti numbers from the ranks of the skeleton's elimination."""
-    elim = eliminate(skeleton(k), k.boundaries)
+    elim = k.elimination
     cycle_rank = len(elim.nontree)
     return HomologyProfile(k.n - k.m + cycle_rank, elim.rank, len(elim.kept), cycle_rank)
 

@@ -510,6 +510,8 @@ def test_oracle_hidden_from_help():
         with pytest.raises(SystemExit):
             cli.main(["--help"])
     assert "oracle" not in out.getvalue()
+    # the help is about usage: no docstring markup or private names
+    assert "``" not in out.getvalue() and "_cycles_json" not in out.getvalue()
     code, _, err = run_cli(["frob"])
     assert code == 1
     assert "invalid choice: 'frob'" in err and "oracle" not in err

@@ -154,43 +154,46 @@ def test_span_tracker_keeps_independent_vectors():
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.randoms(use_true_random=False))
-def test_classes_are_linear_with_the_span_as_kernel(m, rng):
+def test_remainder_is_linear_with_the_span_as_kernel(m, rng):
     # coordinates are a sparse increasing subset of bit positions, as the
     # non-tree edges are of the edge space
     coords = sorted(rng.sample(range(3 * m.nrows + 1), m.nrows))
     spread = [sum(1 << coords[i] for i in bit_indices(c.bits)) for c in m.columns]
     tracker = SpanTracker()
+    pivots = 0  # a kept vector's pivot is the top bit of its remainder before it
     for v in spread:
-        tracker.add(v)
-    classes = tracker.classes(coords)
-    assert len(classes) == m.nrows
-    free = m.nrows - tracker.rank
-    assert all(0 <= a < 1 << free for a in classes)
-    # the classes span all free bits, so the kernel has dimension rank
-    assert helpers.dense_rank([[a >> j & 1 for j in range(free)] for a in classes]) == free
+        top = 1 << tracker.remainder(v).bit_length() >> 1
+        assert tracker.add(v) == bool(top)
+        pivots |= top
+    assert pivots.bit_count() == tracker.rank
     for v in spread:
-        assert _class_of(classes, coords, v) == 0
-    for _ in range(8):
-        v = sum(1 << c for c in coords if rng.random() < 0.5)
+        assert tracker.remainder(v) == 0
+    units = [tracker.remainder(1 << c) for c in coords]
+    assert all(not r & pivots for r in units)
+    # the remainders of the units span nrows - rank dimensions: the kernel is the span
+    dense = [[r >> j & 1 for j in range(3 * m.nrows + 1)] for r in units]
+    assert helpers.dense_rank(dense) == m.nrows - tracker.rank
+    vectors = [sum(1 << c for c in coords if rng.random() < 0.5) for _ in range(8)]
+    for v in vectors:
+        r = tracker.remainder(v)
+        assert not r & pivots
         in_span = helpers.dense_rank(helpers.rows(m)) == helpers.dense_rank(
             [row + [v >> coords[i] & 1] for i, row in enumerate(helpers.rows(m))]
         )
-        assert (_class_of(classes, coords, v) == 0) == in_span
+        assert (r == 0) == in_span
+    for u, v in zip(vectors, vectors[1:]):
+        assert tracker.remainder(u ^ v) == tracker.remainder(u) ^ tracker.remainder(v)
 
 
-def _class_of(classes, coords, v):
-    a = 0
-    for c, cls in zip(coords, classes):
-        if v >> c & 1:
-            a ^= cls
-    return a
-
-
-def test_classes_examples():
+def test_remainder_examples():
     tracker = SpanTracker()
-    tracker.add(0b0110)  # pivot 2, row 0b0110: e2 ~ e1
-    tracker.add(0b1010)  # pivot 3, row 0b1010: e3 ~ e1
-    # coordinates 1, 2 and 3; 1 is the one free coordinate, bit 0
-    assert tracker.classes([1, 2, 3]) == [0b1, 0b1, 0b1]
-    assert SpanTracker().classes([0, 4]) == [0b01, 0b10]
-    assert SpanTracker().classes([]) == []
+    tracker.add(0b0110)  # pivot 2
+    tracker.add(0b1010)  # pivot 3
+    # coordinates 2 and 3 reduce to the free coordinate 1
+    assert [tracker.remainder(1 << c) for c in (1, 2, 3)] == [0b10, 0b10, 0b10]
+    assert tracker.remainder(0b1100) == 0 and tracker.remainder(0b0001) == 0b0001
+    assert SpanTracker().remainder(0b10001) == 0b10001
+    # a free top bit does not stop the reduction below it
+    tracker = SpanTracker()
+    tracker.add(0b010)
+    assert tracker.remainder(0b110) == 0b100

@@ -282,15 +282,14 @@ def test_fundamental_cycle_is_its_edge_plus_the_forest_path():
 
 def test_a_graph_eliminates_to_unit_annotations():
     """A graph is a complex with no triangles: its elimination keeps no
-    boundary, leaves rank nu, and gives the j-th non-tree edge the j-th
-    unit vector as its class and every tree edge 0."""
+    boundary, leaves rank nu, and gives each non-tree edge its own bit as
+    its class and every tree edge 0."""
     for g in seeded_multigraphs(2023, 200):
         nontree = spanning_forest(g)[1]
         elim = eliminate(g)
         assert elim.nontree == nontree and elim.cut == sum(1 << e for e in nontree)
         assert elim.kept == () and elim.rank == cyclomatic_number(g)
-        unit = {e: 1 << j for j, e in enumerate(nontree)}
-        assert elim.annotation == [unit.get(e, 0) for e in range(g.m)]
+        assert elim.annotation == [1 << e & elim.cut for e in range(g.m)]
 
 
 def test_fundamental_cycles_memory_stays_linear_on_a_long_path():

@@ -346,15 +346,16 @@ def _class(annotation, mask):
 def _check_annotations(k):
     """The annotations and ``homologous`` against an elimination of their
     own: a cycle's class is 0 exactly when it is a sum of boundaries, two
-    cycles are homologous exactly when their sum is, the classes have rank
-    beta1, and every cycle inside F = V - Z has class 0."""
+    cycles are homologous exactly when their sum is, the annotations are
+    remainders (inside ``cut``, with no pivot bit) of rank beta1, and
+    every cycle inside F = V - Z has class 0."""
     g = skeleton(k)
     elim = eliminate(g, k.boundaries)
     annotation = elim.annotation
     beta1 = homology_profile(k).beta1
     assert beta1 == elim.rank == len(elim.nontree) - len(elim.kept)
-    assert all(0 <= a < 1 << beta1 for a in annotation)
-    assert helpers.dense_rank([[a >> j & 1 for j in range(beta1)] for a in annotation]) == beta1
+    assert all(a & elim.cut == a == elim.tracker.remainder(a) for a in annotation)
+    assert helpers.dense_rank([[a >> j & 1 for j in range(k.m)] for a in annotation]) == beta1
     in_span = _boundary_reducer(k)
     rng = random.Random(k.m)
     basis = [c.mask for c in fundamental_cycles(g)] + [c.bits for c in boundary_matrix(k, 2).columns]
@@ -414,3 +415,48 @@ def test_mhb_tight_runs_the_kernel_from_the_homology_roots_only(monkeypatch):
     assert runs == homology_roots
     assert len(runs) < len(_feedback_vertex_set(n, edges, [unit[i] for i in block]))
     assert len(report.cycles) == homology_profile(k).beta1 > 0
+
+
+def test_no_reader_changes_an_elimination():
+    """Scans and ``homologous`` read an elimination and leave it as it was:
+    a second earliest scan keeps the same cycles, and ``homologous``
+    answers the same after ``mhb_tight`` as before."""
+    for g in seeded_multigraphs(7, 20):
+        elim = eliminate(g)
+        listed = lambda: enumerate_tight_cycles(g).cycles
+        assert elim.earliest(listed) == elim.earliest(listed)
+    for k in _seeded_complexes(31):
+        g = skeleton(k)
+        elim = eliminate(g, k.boundaries)
+        listed = lambda: enumerate_tight_cycles(g).cycles
+        basis = elim.earliest(listed)
+        assert elim.earliest(listed) == basis
+        empty = cycle_from_mask(g, 0)
+        before = [homologous(k, z, empty) for z in basis]
+        assert mhb_tight(k).cycles == basis
+        assert [homologous(k, z, empty) for z in basis] == before == [False] * len(basis)
+
+
+def test_a_complex_eliminates_once_on_first_use(monkeypatch):
+    """Building a complex runs no elimination; every reader then shares
+    one, and ``homologous`` still matches an elimination of its own."""
+    calls = []
+
+    def counting(g, boundaries=()):
+        calls.append(g)
+        return eliminate(g, boundaries)
+
+    monkeypatch.setattr("minbasis.simplicial.eliminate", counting)
+    k = _holed_torus(random.Random(47), 5, 0.8)
+    assert calls == []
+    g = skeleton(k)
+    in_span = _boundary_reducer(k)
+    rng = random.Random(5)
+    masks = [c.mask for c in fundamental_cycles(g)] + list(k.boundaries)
+    pairs = [(rng.choice(masks) ^ rng.choice(masks), rng.choice(masks)) for _ in range(60)]
+    cycles = [(cycle_from_mask(g, a), cycle_from_mask(g, b)) for a, b in pairs]
+    answers = [homologous(k, z1, z2) for z1, z2 in cycles]
+    assert answers == [in_span(a ^ b) for a, b in pairs] and any(answers) and not all(answers)
+    mhb_tight(k), mhb_via_mcb(k), homology_profile(k)
+    assert [homologous(k, z1, z2) for z1, z2 in cycles] == answers
+    assert len(calls) == 1
