@@ -13,7 +13,13 @@ and everything downstream is deterministic.
 Shortest paths have one representation: the (weight, edge bit set) keys
 of ``shortest_path_keys``, the one Dijkstra loop.  The tie mask of v is
 the edge set of the unique shortest root -> v path, so no parent
-pointers are kept; ``apsp`` holds one row of keys per root.
+pointers are kept; ``apsp`` holds one row of keys per root.  The loop
+settles one distance level (weight sum) at a time.  Its heap holds the
+distinct pending levels and never a tie mask: a predecessor across a
+positive-weight edge sits on a lower level, so a level's ties are final
+when it is popped, except through zero-weight edges, whose targets are
+settled in tie order inside the level.  Each vertex is processed at
+most twice, and a run costs O(m log n).
 
 Every basis engine starts from one ``eliminate``, which writes the
 boundaries in the spanning forest's non-tree coordinates (a graph has
@@ -168,23 +174,57 @@ def shortest_path_keys(adj: Adjacency, root: int) -> tuple[list[Optional[int]], 
     the unique shortest root -> v path under the (weight, edge bit set)
     order and ``base[v]`` its weight.  Unreachable vertices get base None
     and tie 0.
+
+    The loop settles one distance level at a time.  The heap ``levels``
+    holds the distinct pending bases and ``at`` maps each to a plain list
+    of the vertices that a positive-weight edge queued there, once per
+    vertex and level; tie masks stay in ``tie``.  Every predecessor
+    across a positive-weight edge has a smaller base and was settled at
+    an earlier level, so when a level is popped the ties of its list are
+    final up to zero-weight edges, and the list is walked in any order.
+    The target of a zero-weight edge stays on the current level and goes
+    to the ``(tie, vertex)`` heap ``zero``, which is drained in tie order,
+    one vertex at a time, after the list and before the next level.  A
+    vertex is thus processed at most twice, once from its list and once
+    from ``zero`` at its final tie, and a run costs O(m log n).
     """
     base: list[Optional[int]] = [None] * len(adj)
     tie = [0] * len(adj)
     base[root] = 0
-    heap = [(0, 0, root)]
+    levels = [0]
+    at = {0: [root]}
+    zero: list[tuple[int, int]] = []
     pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        b, t, v = pop(heap)
-        if t != tie[v]:
-            continue  # stale entry
-        for u, w, bit in adj[v]:
-            c = b + w
-            bu = base[u]
-            if bu is None or c < bu or c == bu and t | bit < tie[u]:
-                base[u] = c
-                tie[u] = ct = t | bit
-                push(heap, (c, ct, u))
+    while levels or zero:
+        if zero:
+            t, v = pop(zero)
+            if tie[v] != t:
+                continue  # stale: v was pushed again at a lower tie
+            walk = (v,)
+        else:
+            b = pop(levels)
+            walk = at.pop(b)
+        for v in walk:
+            if base[v] != b:
+                continue  # moved to a lower level since it was queued here
+            t = tie[v]
+            for u, w, bit in adj[v]:
+                c = b + w
+                bu = base[u]
+                if bu is None or c < bu:
+                    base[u] = c
+                    tie[u] = ct = t | bit
+                    if not w:
+                        push(zero, (ct, u))
+                    elif (q := at.get(c)) is None:
+                        at[c] = [u]
+                        push(levels, c)
+                    else:
+                        q.append(u)
+                elif c == bu and t | bit < tie[u]:
+                    tie[u] = ct = t | bit
+                    if not w:
+                        push(zero, (ct, u))
     return base, tie
 
 

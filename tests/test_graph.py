@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from minbasis.errors import ParseError
-from minbasis.fixtures import path_graph
+from minbasis.fixtures import path_graph, random_graph_nm
 from minbasis.graph import (
     MAX_WEIGHT,
     Graph,
@@ -156,6 +156,36 @@ def test_dijkstra_trees_exact_on_multigraphs():
                     path = helpers.simple_path(raw, key[1], root)
                     assert path is not None and path[-1] == v
                     assert len(path) == key[1].bit_count() + 1
+
+
+class CountingAdjacency(list):
+    """An adjacency that counts its ``adj[v]`` reads."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+@pytest.mark.parametrize("weights", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("n, m", [(30, 90), (200, 1000)])
+def test_dijkstra_processes_each_vertex_at_most_twice(n, m, weights):
+    """Zero-weight edges keep their targets on one level, where they are
+    settled in tie order, so a run reads at most 2n adjacency lists;
+    re-queueing improved targets first-in first-out gives the same keys
+    from O(n·m) reads."""
+    for seed in (1, 2):
+        g = random_graph_nm(random.Random(seed), n, m, weights=weights)
+        raw = [tuple(e) for e in g.edges]
+        adj = CountingAdjacency(weighted_adjacency(n, g.edges))
+        for root in range(n):
+            adj.reads = 0
+            base, tie = shortest_path_keys(adj, root)
+            assert adj.reads <= 2 * n
+            if root % (n // 10) == 0:
+                want = helpers.keyed_bellman_ford(n, raw, root)
+                assert [None if b is None else (b, t) for b, t in zip(base, tie)] == want
 
 
 def test_apsp_triangle_and_star():

@@ -15,7 +15,8 @@ Usage (stdlib only)::
 
 A run copies the repository once into a temporary directory and times
 the unmutated tests there.  For each mutant it edits that copy, runs
-``python -m pytest -x -q`` with ``PYTHONPATH=src`` under a timeout of
+``python -m pytest -x -q`` over the test files in name order, the
+exhaustive ``test_atlas.py`` last, with ``PYTHONPATH=src`` under a timeout of
 ``TIMEOUT_FACTOR`` times the unmutated run's seconds (a timeout counts
 as killed), then restores the file.  It prints the killed, equivalent
 and surviving counts, and exits 1 when an outcome differs from the
@@ -41,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).with_name("mutants.json")
 TIMEOUT_FACTOR = 3  # equivalent mutants take at most 1.2x the unmutated run; a loop is stopped
+LAST = "test_atlas.py"  # seconds of exhaustive cases; most mutants die in an earlier file
 IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out", "*.egg-info"
 )
@@ -68,7 +70,8 @@ def run_tests(tree: Path, timeout: float | None = None) -> tuple[bool, float]:
     """(passed, seconds) of ``pytest -x -q`` in ``tree``, stopped after
     ``timeout`` seconds when given; a timeout is a failure."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    files = sorted((tree / "tests").glob("test_*.py"), key=lambda p: (p.name == LAST, p.name))
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *map(str, files)]
     t0 = time.perf_counter()
     # a session of its own, so a timeout stops the CLI subprocesses tests start too
     proc = subprocess.Popen(
