@@ -155,6 +155,14 @@ class SpanTracker:
             bits ^= row
         return False
 
+    def copy(self) -> "SpanTracker":
+        """A tracker holding the same rows; adds to either leave the other
+        as it was."""
+        twin = SpanTracker()
+        twin._rows = dict(self._rows)
+        twin._pivots = self._pivots
+        return twin
+
     def remainder(self, bits: int) -> int:
         """``bits`` less the row of each pivot it holds, highest first: the
         one member of ``bits`` plus the span with no pivot bit (a nonzero

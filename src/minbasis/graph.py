@@ -24,7 +24,7 @@ most twice, and a run costs O(m log n).
 Every basis engine starts from one ``eliminate``, which writes the
 boundaries in the spanning forest's non-tree coordinates (a graph has
 none, a complex its triangles'); its ``earliest`` scan keeps the
-weight-sorted cycles whose remainders are independent.
+weight-sorted cycles whose classes are independent.
 """
 
 from __future__ import annotations
@@ -329,13 +329,17 @@ class Elimination:
 
     def earliest(self, cycles: Callable[[], Iterable[Cycle]]) -> list[Cycle]:
         """The first ``rank`` cycles of ``cycles()`` whose classes are
-        independent: on a weight-sorted list, a minimum basis.  ``cycles``
-        is not called when the rank is 0."""
+        independent: on a weight-sorted list, a minimum basis.  The scan
+        feeds each cycle's non-tree edges to a copy of ``tracker``, which
+        starts from the kept boundaries, so a cycle is kept exactly when it
+        is independent of them and of the cycles kept before it, that is
+        when its class is independent of theirs.  ``cycles`` is not called
+        when the rank is 0."""
         chosen: list[Cycle] = []
         if self.rank:
-            add, remainder, cut = SpanTracker().add, self.tracker.remainder, self.cut
+            add, cut = self.tracker.copy().add, self.cut
             for c in cycles():
-                if add(remainder(c.mask & cut)):
+                if add(c.mask & cut):
                     chosen.append(c)
                     if len(chosen) == self.rank:
                         break

@@ -214,15 +214,18 @@ def _feedback_vertex_set(
     return sorted(roots)
 
 
-def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[int]) -> list[int]:
-    """Edge masks of one block's cycles counted from ``roots``: every tight
-    cycle that passes a root, and possibly a few cycles that are not tight.
+def _block_tight_masks(
+    n: int, edges: list[tuple[int, int, int]], roots: list[int]
+) -> list[tuple[int, int]]:
+    """(weight, edge mask) keys of one block's cycles counted from ``roots``:
+    every tight cycle that passes a root, and possibly a few cycles that
+    are not tight.
 
     ``edges`` are the block's (x, y, weight) on vertices 0..n-1, bit i
     being edge i, and ``roots`` are increasing vertices Z.  With every
     vertex a root the masks are exactly the block's tight cycles.  A block
     with as many edges as vertices is one cycle and is returned whole,
-    with no kernel run.
+    weighing the sum of its edges, with no kernel run.
 
     Otherwise the kernel runs from each root in increasing order, ``tie[x]``
     being the edge set of the root -> x path.  A candidate path(v,x) +
@@ -247,26 +250,33 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[in
     it generates but that is not tight may be kept too.  No tie list is
     kept after it is counted.
 
+    Each weight comes from the kernel's keys and is computed once.  A
+    counted mask weighs ``base[x] + base[y] + w`` at the root that inserts
+    it; that weight is appended to ``weights`` at the insertion.  A mask
+    is inserted into ``counts`` once and later only incremented, so the
+    dict's insertion order never changes and ``weights`` runs parallel to
+    ``counts.items()``.
+
     Each edge with an endpoint in Z is tested once, flagged or not, at its
     lowest endpoint x in Z (the module docstring says why once is enough):
     when ``tie[y] != bit`` it is non-geodesic and its one tight cycle
-    ``tie[y] | bit`` is emitted.  The scan runs over ``live``, the kernel's
-    edges keyed by bit in edge order.  An unflagged edge that fails leaves
-    the kernel and the scan by one pop from ``live`` and one removal from
-    each endpoint's adjacency; the edges ``_two_hop_detours`` flags never
-    enter them, so their pop finds nothing.  An edge with no endpoint in Z
-    is never tested: it stays in the kernel and the scan even when
-    flagged, where it changes no key and its one tight cycle is kept by
-    count.
+    ``tie[y] | bit``, of weight ``base[y] + w``, is emitted.  The scan runs
+    over ``live``, the kernel's edges keyed by bit in edge order.  An
+    unflagged edge that fails leaves the kernel and the scan by one pop
+    from ``live`` and one removal from each endpoint's adjacency; the edges
+    ``_two_hop_detours`` flags never enter them, so their pop finds
+    nothing.  An edge with no endpoint in Z is never tested: it stays in
+    the kernel and the scan even when flagged, where it changes no key and
+    its one tight cycle is kept by count.
     """
     if len(edges) == n:
-        return [(1 << len(edges)) - 1]
+        return [(sum(w for _, _, w in edges), (1 << len(edges)) - 1)]
     is_root = [False] * n
     for r in roots:
         is_root[r] = True
     detours = _two_hop_detours(n, edges)
     adj: Adjacency = [[] for _ in range(n)]
-    live: dict[int, tuple[int, int, int]] = {}
+    live: dict[int, tuple[int, int, int, int]] = {}
     tested_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     ends = [0, 0, 0]  # ends[k]: the edges with k endpoints in Z
     bit = 1
@@ -282,23 +292,24 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[in
         if not k or not detours & bit:
             adj[x].append((y, w, bit))
             adj[y].append((x, w, bit))
-            live[bit] = (x, y, bit)
+            live[bit] = (x, y, w, bit)
         bit <<= 1
-    kept: list[int] = []
+    kept: list[tuple[int, int]] = []
     counts: dict[int, int] = {}
+    weights: list[int] = []
     get = counts.get
     done = 0
     for root in roots:
-        tie = shortest_path_keys(adj, root)[1]
+        base, tie = shortest_path_keys(adj, root)
         owned = 0
         for y, w, bit in tested_at[root]:
             owned |= bit
             if tie[y] != bit:
-                kept.append(tie[y] | bit)
+                kept.append((base[y] + w, tie[y] | bit))
                 if live.pop(bit, None):
                     adj[root].remove((y, w, bit))
                     adj[y].remove((root, w, bit))
-        for x, y, bit in live.values():
+        for x, y, w, bit in live.values():
             tx, ty = tie[x], tie[y]
             if tx & ty:
                 continue
@@ -312,10 +323,11 @@ def _block_tight_masks(n: int, edges: list[tuple[int, int, int]], roots: list[in
                     counts[mask] = c + 1
             else:
                 counts[mask] = 1
+                weights.append(base[x] + base[y] + w)
         done |= owned
     e1, e2 = ends[1], ends[2]
     kept += [
-        mask for mask, times in counts.items()
+        (weight, mask) for weight, (mask, times) in zip(weights, counts.items())
         if 2 * times == (mask & e1).bit_count() + 2 * (mask & e2).bit_count()
     ]
     return kept
@@ -471,19 +483,19 @@ def _rooted_cycles(
     """The cycles ``_block_tight_masks`` keeps in each cyclic block from the
     roots ``roots_of(block, n, edges)``, lifted to ``g`` and sorted by weight.
 
-    Each kept mask is decoded once by ``bit_indices``, for its weight and
-    its original edge indices, which ``bit_mask`` packs once.  The merged
-    list is sorted by (weight, edge bit set), so the root order that
-    decides insertion and detection does not show in the output.
+    Each cycle keeps the weight its block's key carries.  A block's masks
+    are lifted to the original edge indices only when the block is not
+    edges 0..k-1, for which the relabeling is the identity, so a graph
+    that is one block with every edge lifts nothing.  The merged list is sorted by
+    (weight, edge bit set), so the root order that decides insertion and
+    detection does not show in the output.
     """
     keys: list[tuple[int, int]] = []
     for block, n, edges in _local_blocks(g):
-        for mask in _block_tight_masks(n, edges, roots_of(block, n, edges)):
-            base, lifted = 0, []
-            for i in bit_indices(mask):
-                base += edges[i][2]
-                lifted.append(block[i])
-            keys.append((base, bit_mask(lifted)))
+        found = _block_tight_masks(n, edges, roots_of(block, n, edges))
+        if block[-1] != len(block) - 1:  # the sorted block is not edges 0..k-1
+            found = [(w, bit_mask([block[i] for i in bit_indices(mask)])) for w, mask in found]
+        keys += found
     return _sorted_cycles(g.m, keys)
 
 

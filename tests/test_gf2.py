@@ -185,6 +185,21 @@ def test_remainder_is_linear_with_the_span_as_kernel(m, rng):
         assert tracker.remainder(u ^ v) == tracker.remainder(u) ^ tracker.remainder(v)
 
 
+def test_copy_is_fed_apart_from_its_original():
+    tracker = SpanTracker()
+    tracker.add(0b0110)
+    tracker.add(0b1010)
+    probes = [1 << c for c in range(5)]
+    before = [tracker.remainder(v) for v in probes]
+    twin = tracker.copy()
+    # the copy starts from the same rows and takes its own adds
+    assert [twin.add(v) for v in (0b1100, 0b0011, 0b10000)] == [False, True, True]
+    assert twin.rank == 4 and twin.remainder(0b0011) == twin.remainder(0b10000) == 0
+    assert tracker.rank == 2 and [tracker.remainder(v) for v in probes] == before
+    assert tracker.add(0b0001)
+    assert twin.rank == 4 and twin.remainder(0b0001)
+
+
 def test_remainder_examples():
     tracker = SpanTracker()
     tracker.add(0b0110)  # pivot 2

@@ -16,6 +16,7 @@ from minbasis.fixtures import (
     random_connected_graph,
     random_graph_nm,
 )
+from minbasis import gf2
 from minbasis.gf2 import Gf2Matrix, rank
 from minbasis.graph import (
     MAX_WEIGHT,
@@ -584,7 +585,10 @@ def _check_basis_cycles(g):
     keys = [(c.base, c.mask) for c in rooted]
     assert keys == sorted(set(keys))
     assert all(_is_simple_cycle(g, c) for c in rooted)
-    assert {c.mask for c in enumerate_tight_cycles(g).cycles} <= {c.mask for c in rooted}
+    listed = enumerate_tight_cycles(g).cycles
+    # both lists take their weights from the kernel's keys, never off the mask
+    assert all(c.base == cycle_from_mask(g, c.mask).base for c in [*rooted, *listed])
+    assert {c.mask for c in listed} <= {c.mask for c in rooted}
     for n, edges, roots in _block_roots(g):
         assert roots == sorted(set(roots)) and set(roots) <= set(range(n))
         tree = list(range(n))  # a union-find over the forest, written afresh
@@ -633,6 +637,35 @@ def test_feedback_roots_match_the_recorded_lists():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "49a1f66246d8ebc277341682e21ac43f20b74ecb599149c58c5a7e499ca0cd86"
     )
+
+
+def test_only_blocks_off_edges_0_to_k_decode_their_masks(monkeypatch):
+    # a block that is edges 0..k-1 keeps its local masks and the kernel's
+    # weights as they are; only other blocks are lifted, one decode a mask
+    calls = []
+
+    def counting(real):
+        def wrapper(x):
+            calls.append(x)
+            return real(x)
+
+        return wrapper
+
+    monkeypatch.setattr("minbasis.tight.bit_indices", counting(gf2.bit_indices))
+    monkeypatch.setattr("minbasis.tight.bit_mask", counting(gf2.bit_mask))
+
+    def decodes(g):
+        calls.clear()
+        basis_cycles(g, eliminate(g).annotation)
+        enumerate_tight_cycles(g)
+        return len(calls)
+
+    # K4 is one block, and after it a pendant tree that no block holds
+    pendant = Graph(8, [*k4().edges, (3, 4, 1), (4, 5, 2), (5, 6, 1), (4, 7, 3)])
+    rng = random.Random(29)
+    k9 = Graph(9, [(u, v, rng.randint(1, 8)) for v in range(9) for u in range(v)])
+    assert [decodes(g) for g in (k4(), k23(), petersen(), k9, pendant)] == [0] * 5
+    assert decodes(_glued_graph(random.Random(29))) > 0
 
 
 def test_basis_cycles_run_the_kernel_from_the_roots_only(monkeypatch):
