@@ -167,7 +167,9 @@ def weighted_adjacency(n: int, edges: Iterable[tuple[int, int, int]]) -> Adjacen
     return adj
 
 
-def shortest_path_keys(adj: Adjacency, root: int) -> tuple[list[Optional[int]], list[int]]:
+def shortest_path_keys(
+    adj: Adjacency, root: int, limit: Optional[int] = None
+) -> tuple[list[Optional[int]], list[int]]:
     """Tie-broken shortest-path keys from ``root``: the one Dijkstra loop.
 
     Returns lists ``base`` and ``tie``: ``tie[v]`` is the edge bit set of
@@ -187,6 +189,12 @@ def shortest_path_keys(adj: Adjacency, root: int) -> tuple[list[Optional[int]], 
     one vertex at a time, after the list and before the next level.  A
     vertex is thus processed at most twice, once from its list and once
     from ``zero`` at its final tie, and a run costs O(m log n).
+
+    With a ``limit`` the run stops before it pops a level above it.  The
+    ``zero`` heap is always drained before the next pop, so the keys of
+    every vertex whose base is at most ``limit`` are then exact, and no
+    vertex of a larger base has been processed; the keys of the others are
+    partial.
     """
     base: list[Optional[int]] = [None] * len(adj)
     tie = [0] * len(adj)
@@ -203,6 +211,8 @@ def shortest_path_keys(adj: Adjacency, root: int) -> tuple[list[Optional[int]], 
             walk = (v,)
         else:
             b = pop(levels)
+            if limit is not None and b > limit:
+                break
             walk = at.pop(b)
         for v in walk:
             if base[v] != b:

@@ -38,13 +38,16 @@ every basis engine reads, takes its roots from the edge annotations of
 ``graph.eliminate``, a cycle's class being the XOR of its edges'
 (Busaryev, Cabello, Chen, Dey and Wang, *Annotating simplices with a
 homology basis and its applications*, SWAT 2012; Dey, Li and Wang,
-LATIN 2018).  One greedy grows F = V - Z in each block with a union-find
-that carries XOR potentials and makes a vertex a root only when it would
-close a cycle of nonzero class inside F, so every such cycle passes a
-root.  A graph is a complex with no triangles: under its annotations,
-unit vectors on the non-tree edges, every cycle has a nonzero class, so
-Z is a feedback vertex set and the MCB engines' list holds every tight
-cycle.  Mehlhorn and Michail restrict
+LATIN 2018), on the edges the 2-hop pre-test (below) does not flag.
+One greedy grows F = V - Z in each block over those edges with a
+union-find that carries XOR potentials and makes a vertex a root only
+when it would close a cycle of nonzero class inside F, so every such
+cycle of unflagged edges passes a root.  A graph is a complex with no
+triangles: under its annotations, unit vectors on the non-tree edges,
+every cycle has a nonzero class, so Z is a feedback vertex set of the
+unflagged edges, and with the cycles of the flagged edges, emitted on
+their own (below), the MCB engines' list holds every tight cycle.
+Mehlhorn and Michail restrict
 Horton's candidates to a feedback vertex set in the same way (*Minimum
 cycle bases: faster and simpler*, ACM TALG 2009).  That is enough for
 the engines.  Under the (base, mask) order cycle weights are distinct,
@@ -63,11 +66,12 @@ holds every tight cycle:
   and ``kavitha`` make the same picks and end with the same certificate.
 
 ``mhb_tight`` reads the annotations of the elimination of its triangle
-boundaries, so its Z meets only the cycles that are not null-homologous.
-The scan in weight order keeps a listed cycle exactly when its class is
-independent of the classes of the lighter listed cycles.  The lighter
-tight cycles span the classes of all lighter cycles; those of class 0
-add nothing, and the others pass a root and are kept by count.  So the
+boundaries, so its Z meets only the cycles of unflagged edges that are
+not null-homologous.  The scan in weight order keeps a listed cycle
+exactly when its class is independent of the classes of the lighter
+listed cycles.  The lighter tight cycles span the classes of all lighter
+cycles; those of class 0 add nothing, and the others are listed, either
+emitted for their flagged edge or passing a root and kept by count.  So the
 lighter listed cycles span the classes of all lighter cycles, and the
 scan keeps the members of the minimum homology basis, in the same order
 as from the tight list: each is tight and not null-homologous, so it is
@@ -83,7 +87,8 @@ P(x, y).  Such edges leave both the kernel and the counting scan:
     not, so any tight cycle through xy is P(x, y) + xy.  That cycle is
     tight, since every pair of its vertices is joined by a sub-path of
     P(x, y).  The enumerator emits it once, as ``tie[y] | bit`` at the
-    root of x, the lowest endpoint in Z.
+    root of x, the lowest endpoint in Z, or from a run bounded at the
+    weight of xy (below).
 (c) Every vertex of P(x, y) + xy generates it with xy as the joining
     edge.  Once xy leaves the scan, a count an earlier root started for
     that mask misses root x, so it is never kept twice.
@@ -92,22 +97,37 @@ P(x, y).  Such edges leave both the kernel and the counting scan:
     it keeps its exact multiplicity.
 
 A cheap pre-test flags the edges that a parallel edge or a two-edge path
-beats, and keeps them out of the kernel.  Every edge with an endpoint in
-Z has its geodesy tested once, at the root of its lowest endpoint x in
-Z: by (a) that root's ``tie[y]`` is P(x, y), so xy is geodesic exactly
-when ``tie[y]`` is xy alone.  An edge that passes there is P(x, y), so a
-test at y could never fail.  An edge with no endpoint in Z is never
-tested and stays in the kernel and the scan even when flagged: by (a) it
-changes no key, and by (c) every root on P(x, y) + xy generates that
-cycle, which is then kept by count.
+beats.  It runs once per block, before the roots are chosen, and the
+flagged edges never enter the kernel or the scan.  Every edge with an
+endpoint in Z has its geodesy tested once, at the root of its lowest
+endpoint x in Z: by (a) that root's ``tie[y]`` is P(x, y), so xy is
+geodesic exactly when ``tie[y]`` is xy alone.  An edge that passes there
+is P(x, y), so a test at y could never fail.  A flagged edge xy with no
+endpoint in Z takes P(x, y) from one kernel run from x that stops before
+the first level above w: P(x, y) beats xy, so it weighs at most w, and
+its key is exact by then.  The flagged edges at one x share a run,
+bounded by the heaviest of them, and x is outside Z, so a block makes at
+most n kernel runs.  An unflagged edge with no endpoint in Z is never
+tested and stays in the kernel and the scan: by (a) it changes no key,
+and by (c) every root on P(x, y) + xy generates that cycle, which is
+then kept by count.
+
+Roots chosen on the unflagged edges are enough.  A tight cycle is either
+P(x, y) + xy for a non-geodesic edge xy, or a cycle of geodesic edges,
+which are never flagged.  A flagged edge's cycle is emitted at its root
+endpoint or from its bounded run.  An unflagged non-geodesic edge's
+P(x, y) is made of geodesic edges, so its cycle is one of unflagged
+edges, like a cycle of geodesic edges: if its class is nonzero it passes
+a root, and it is emitted by the test at its lowest endpoint in Z or
+kept by count.
 
 Every cycle lies inside one biconnected block (Horton, *A polynomial-time
 algorithm to find the shortest cycle basis of a graph*, SIAM J. Comput.
 1987), so an iterative Tarjan lowpoint pass finds the blocks with at
-least two edges and the kernel runs only from their roots and only
-inside them; forests, pendant trees and bridges cost O(n + m).  A block
-with as many edges as vertices is one cycle, which is its only tight
-cycle, and runs no kernel.  Each block's adjacency is built with its
+least two edges and the kernel runs only inside them; forests, pendant
+trees and bridges cost O(n + m).  A block with as many edges as vertices
+is one cycle, which is its only tight cycle, and chooses no roots and
+runs no kernel.  Each block's adjacency is built with its
 vertices and edges relabeled in increasing original order.  The
 tie-break compares edge bit sets as integers and a monotone relabeling
 keeps every such comparison, so the shortest paths, candidates and
@@ -215,19 +235,20 @@ def _feedback_vertex_set(
 
 
 def _block_tight_masks(
-    n: int, edges: list[tuple[int, int, int]], roots: list[int]
+    n: int, edges: list[tuple[int, int, int]], detours: int, roots: list[int]
 ) -> list[tuple[int, int]]:
     """(weight, edge mask) keys of one block's cycles counted from ``roots``:
-    every tight cycle that passes a root, and possibly a few cycles that
-    are not tight.
+    the tight cycle of every edge in ``detours``, every tight cycle of the
+    other edges that passes a root, and possibly a few cycles that are not
+    tight.
 
     ``edges`` are the block's (x, y, weight) on vertices 0..n-1, bit i
-    being edge i, and ``roots`` are increasing vertices Z.  With every
-    vertex a root the masks are exactly the block's tight cycles.  A block
-    with as many edges as vertices is one cycle and is returned whole,
-    weighing the sum of its edges, with no kernel run.
+    being edge i, ``detours`` is the bit set ``_two_hop_detours`` flags on
+    them, and ``roots`` are increasing vertices Z.  With every vertex a
+    root the masks are exactly the block's tight cycles.  The block is not
+    one cycle; ``_rooted_cycles`` emits such a block whole.
 
-    Otherwise the kernel runs from each root in increasing order, ``tie[x]``
+    The kernel runs from each root in increasing order, ``tie[x]``
     being the edge set of the root -> x path.  A candidate path(v,x) +
     (x,y) + path(y,v) is counted only when the two paths are edge-disjoint
     and the joining edge lies on neither; each such edge set is a simple
@@ -257,27 +278,30 @@ def _block_tight_masks(
     dict's insertion order never changes and ``weights`` runs parallel to
     ``counts.items()``.
 
-    Each edge with an endpoint in Z is tested once, flagged or not, at its
-    lowest endpoint x in Z (the module docstring says why once is enough):
-    when ``tie[y] != bit`` it is non-geodesic and its one tight cycle
-    ``tie[y] | bit``, of weight ``base[y] + w``, is emitted.  The scan runs
-    over ``live``, the kernel's edges keyed by bit in edge order.  An
-    unflagged edge that fails leaves the kernel and the scan by one pop
-    from ``live`` and one removal from each endpoint's adjacency; the edges
-    ``_two_hop_detours`` flags never enter them, so their pop finds
-    nothing.  An edge with no endpoint in Z is never tested: it stays in
-    the kernel and the scan even when flagged, where it changes no key and
-    its one tight cycle is kept by count.
+    The flagged edges never enter the kernel's adjacency or ``live``, the
+    scan's edges keyed by bit in edge order.  Each edge with an endpoint in
+    Z is tested once, flagged or not, at its lowest endpoint x in Z (the
+    module docstring says why once is enough): when ``tie[y] != bit`` it is
+    non-geodesic and its one tight cycle ``tie[y] | bit``, of weight
+    ``base[y] + w``, is emitted.  An unflagged edge that fails leaves the
+    kernel and the scan by one pop from ``live`` and one removal from each
+    endpoint's adjacency; a flagged edge's pop finds nothing.  An unflagged
+    edge with no endpoint in Z is never tested: it stays in the kernel and
+    the scan, where it changes no key and its one tight cycle, if
+    non-geodesic, is kept by count.
+
+    The flagged edges with no endpoint in Z are grouped by x, their higher
+    endpoint, before the roots run.  For each x one kernel run from x,
+    bounded by the group's heaviest edge, gives each edge xy its P(x, y):
+    P(x, y) beats xy, so it weighs at most w and its key is exact.
     """
-    if len(edges) == n:
-        return [(sum(w for _, _, w in edges), (1 << len(edges)) - 1)]
     is_root = [False] * n
     for r in roots:
         is_root[r] = True
-    detours = _two_hop_detours(n, edges)
     adj: Adjacency = [[] for _ in range(n)]
     live: dict[int, tuple[int, int, int, int]] = {}
     tested_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    uncovered: dict[int, list[tuple[int, int, int]]] = {}  # flagged, no endpoint in Z
     ends = [0, 0, 0]  # ends[k]: the edges with k endpoints in Z
     bit = 1
     for x, y, w in edges:
@@ -289,12 +313,17 @@ def _block_tight_masks(
         ends[k] |= bit
         if k:
             tested_at[x].append((y, w, bit))
-        if not k or not detours & bit:
+        if not detours & bit:
             adj[x].append((y, w, bit))
             adj[y].append((x, w, bit))
             live[bit] = (x, y, w, bit)
+        elif not k:
+            uncovered.setdefault(x, []).append((y, w, bit))
         bit <<= 1
     kept: list[tuple[int, int]] = []
+    for x, group in uncovered.items():
+        base, tie = shortest_path_keys(adj, x, max(w for _, w, _ in group))
+        kept += [(base[y] + w, tie[y] | bit) for y, w, bit in group]
     counts: dict[int, int] = {}
     weights: list[int] = []
     get = counts.get
@@ -478,21 +507,30 @@ def _local_blocks(g: Graph) -> Iterator[tuple[list[int], int, list[tuple[int, in
 
 
 def _rooted_cycles(
-    g: Graph, roots_of: Callable[[list[int], int, list[tuple[int, int, int]]], list[int]]
+    g: Graph, roots_of: Callable[[list[int], int, list[tuple[int, int, int]], int], list[int]]
 ) -> list[Cycle]:
     """The cycles ``_block_tight_masks`` keeps in each cyclic block from the
-    roots ``roots_of(block, n, edges)``, lifted to ``g`` and sorted by weight.
+    roots ``roots_of(block, n, edges, detours)``, lifted to ``g`` and sorted
+    by weight.
 
-    Each cycle keeps the weight its block's key carries.  A block's masks
-    are lifted to the original edge indices only when the block is not
-    edges 0..k-1, for which the relabeling is the identity, so a graph
-    that is one block with every edge lifts nothing.  The merged list is sorted by
-    (weight, edge bit set), so the root order that decides insertion and
-    detection does not show in the output.
+    A block with as many edges as vertices is one cycle, its only tight
+    cycle, and is emitted whole, weighing the sum of its edges, with no
+    roots and no kernel run.  Any other block runs ``_two_hop_detours``
+    once, before its roots are chosen.  Each cycle keeps the weight its
+    block's key carries.  A block's masks are lifted to the original edge
+    indices only when the block is not edges 0..k-1, for which the
+    relabeling is the identity, so a graph that is one block with every
+    edge lifts nothing.  The merged list is sorted by (weight, edge bit
+    set), so the root order that decides insertion and detection does not
+    show in the output.
     """
     keys: list[tuple[int, int]] = []
     for block, n, edges in _local_blocks(g):
-        found = _block_tight_masks(n, edges, roots_of(block, n, edges))
+        if len(edges) == n:
+            found = [(sum(w for _, _, w in edges), (1 << n) - 1)]
+        else:
+            detours = _two_hop_detours(n, edges)
+            found = _block_tight_masks(n, edges, detours, roots_of(block, n, edges, detours))
         if block[-1] != len(block) - 1:  # the sorted block is not edges 0..k-1
             found = [(w, bit_mask([block[i] for i in bit_indices(mask)])) for w, mask in found]
         keys += found
@@ -515,21 +553,28 @@ def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycl
     vertex, has left the scan; (d) cycles of geodesic edges keep their
     exact counts.  ``pairs`` is accepted for existing callers and ignored.
     """
-    return TightCycleSet(_rooted_cycles(g, lambda block, n, edges: list(range(n))))
+    return TightCycleSet(_rooted_cycles(g, lambda block, n, edges, detours: list(range(n))))
 
 
 def basis_cycles(g: Graph, annotation: list[int]) -> list[Cycle]:
     """Simple cycles sorted by tie-broken weight: the list the basis engines read.
 
-    Each block is counted from the roots of ``_feedback_vertex_set`` alone,
-    ``annotation`` being the classes of an elimination of ``g``, so the list
-    holds every tight cycle of nonzero class (with no boundaries, every
-    tight cycle) and possibly a few more, so it is a plain list and not a
-    ``TightCycleSet``.  The module docstring says why the engines pick the
-    same cycles, with the same certificate, from it as from the tight list.
+    Each block is counted from the roots of ``_feedback_vertex_set`` on the
+    edges the 2-hop pre-test does not flag, ``annotation`` being the classes
+    of an elimination of ``g``.  The list holds the tight cycle of every
+    flagged edge, every tight cycle of nonzero class (with no boundaries,
+    every tight cycle) and possibly a few more, so it is a plain list and
+    not a ``TightCycleSet``.  The module docstring says why the engines
+    pick the same cycles, with the same certificate, from it as from the
+    tight list.
     """
 
-    def roots_of(block: list[int], n: int, edges: list[tuple[int, int, int]]) -> list[int]:
-        return _feedback_vertex_set(n, edges, [annotation[i] for i in block])
+    def roots_of(
+        block: list[int], n: int, edges: list[tuple[int, int, int]], detours: int
+    ) -> list[int]:
+        unflagged = [i for i in range(len(edges)) if not detours >> i & 1]
+        return _feedback_vertex_set(
+            n, [edges[i] for i in unflagged], [annotation[block[i]] for i in unflagged]
+        )
 
     return _rooted_cycles(g, roots_of)

@@ -159,12 +159,17 @@ def test_dijkstra_trees_exact_on_multigraphs():
 
 
 class CountingAdjacency(list):
-    """An adjacency that counts its ``adj[v]`` reads."""
+    """An adjacency that counts its ``adj[v]`` reads and keeps each v read."""
 
     reads = 0
 
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read: set[int] = set()
+
     def __getitem__(self, v):
         self.reads += 1
+        self.read.add(v)
         return super().__getitem__(v)
 
 
@@ -186,6 +191,30 @@ def test_dijkstra_processes_each_vertex_at_most_twice(n, m, weights):
             if root % (n // 10) == 0:
                 want = helpers.keyed_bellman_ford(n, raw, root)
                 assert [None if b is None else (b, t) for b, t in zip(base, tie)] == want
+
+
+@pytest.mark.parametrize(
+    "palette", [(0,), (0, 1), tuple(range(1, 9)), (0, MAX_WEIGHT)], ids=["0", "01", "1-8", "0-max"]
+)
+def test_bounded_run_is_exact_up_to_its_limit(palette):
+    """A run with a ``limit`` gives the unbounded run's keys on every vertex
+    whose base is at most ``limit``, and reads no adjacency row of a vertex
+    whose base is above it."""
+    rng = random.Random(2032)
+    for _ in range(25):
+        n = rng.randint(2, 14)
+        ends = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 3 * n))]
+        edges = [(u, v, rng.choice(palette)) for u, v in ends]
+        edges += rng.sample(edges, rng.randint(0, min(4, len(edges))))  # parallel copies
+        adj = CountingAdjacency(weighted_adjacency(n, edges))
+        for root in range(n):
+            want_base, want_tie = shortest_path_keys(adj, root)
+            for limit in {0, *(b for b in want_base if b is not None)}:
+                adj.read.clear()
+                base, tie = shortest_path_keys(adj, root, limit)
+                within = {v for v, b in enumerate(want_base) if b is not None and b <= limit}
+                assert all((base[v], tie[v]) == (want_base[v], want_tie[v]) for v in within)
+                assert adj.read <= within
 
 
 def test_apsp_triangle_and_star():

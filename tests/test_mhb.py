@@ -37,6 +37,7 @@ from minbasis.simplicial import (
 from minbasis.tight import _feedback_vertex_set, _local_blocks, enumerate_tight_cycles, is_tight
 
 from test_graph import seeded_multigraphs
+from test_tight import _basis_runs, _check_basis_cycles
 
 ALL_FIXTURES = [
     hollow_triangle,
@@ -90,7 +91,7 @@ def test_filled_triangle_empty_basis(monkeypatch):
         assert report.boundary_profile == (0,)
 
     # beta1 = 0 is known from the boundary rank, so no engine runs the kernel
-    def no_kernel(adj, root):
+    def no_kernel(adj, root, limit=None):
         raise AssertionError("shortest-path kernel run for a complex with beta1 = 0")
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", no_kernel)
@@ -276,15 +277,16 @@ def _check_reports(k):
     assert report == replace(mhb_via_mcb(k), engine="tight")
 
 
-def _holed_torus(rng, side, keep):
+def _holed_torus(rng, side, keep, weights=(1, 9)):
     """Triangulated side x side torus grid, each triangle kept with
-    probability ``keep``, weights 1..9, edges in shuffled order."""
+    probability ``keep``, weights drawn from the range ``weights``, edges
+    in shuffled order."""
     vid = lambda i, j: (i % side) * side + j % side
     edges, triangles = [], []
     for i in range(side):
         for j in range(side):
             a, right, down, diag = vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)
-            edges += [Edge(a, b, rng.randint(1, 9)) for b in (right, down, diag)]
+            edges += [Edge(a, b, rng.randint(*weights)) for b in (right, down, diag)]
             triangles += [t for t in ((a, right, diag), (a, down, diag)) if rng.random() < keep]
     rng.shuffle(edges)
     return SimplicialComplex(side * side, tuple(edges), tuple(triangles))
@@ -396,24 +398,32 @@ def test_annotations_on_seeded_complexes():
 
 
 def test_mhb_tight_runs_the_kernel_from_the_homology_roots_only(monkeypatch):
-    # one block, so the kernel runs once per homology root; the feedback
-    # vertex set the MCB engines count from is larger
+    # one block, so the kernel runs fully once per homology root, chosen on
+    # the edges the 2-hop pre-test does not flag, and once, bounded by the
+    # heaviest of them, from the higher endpoint of the flagged edges with
+    # no root endpoint; the feedback vertex set the MCB engines count from
+    # is larger, and larger again when chosen on every edge
     k = _holed_torus(random.Random(0), 6, 0.9)
     g = skeleton(k)
     (block, n, edges), = _local_blocks(g)
     homology = eliminate(g, k.boundaries).annotation
-    homology_roots = _feedback_vertex_set(n, edges, [homology[i] for i in block])
+    (*_, detours, homology_roots, bounded), = _basis_runs(g, homology)
     unit = eliminate(g).annotation
+    (*_, unit_roots, _), = _basis_runs(g, unit)
     runs = []
 
-    def recording_kernel(adj, root):
-        runs.append(root)
-        return shortest_path_keys(adj, root)
+    def recording_kernel(adj, root, limit=None):
+        runs.append((root, limit))
+        return shortest_path_keys(adj, root, limit)
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     report = mhb_tight(k)
-    assert runs == homology_roots
-    assert len(runs) < len(_feedback_vertex_set(n, edges, [unit[i] for i in block]))
+    full = [root for root, limit in runs if limit is None]
+    assert full == homology_roots
+    assert sorted(run for run in runs if run[1] is not None) == sorted(bounded.items())
+    assert bounded and detours
+    every_edge_roots = _feedback_vertex_set(n, edges, [unit[i] for i in block])
+    assert len(full) < len(unit_roots) < len(every_edge_roots)
     assert len(report.cycles) == homology_profile(k).beta1 > 0
 
 
@@ -460,3 +470,23 @@ def test_a_complex_eliminates_once_on_first_use(monkeypatch):
     mhb_tight(k), mhb_via_mcb(k), homology_profile(k)
     assert [homologous(k, z1, z2) for z1, z2 in cycles] == answers
     assert len(calls) == 1
+
+
+def test_mhb_past_the_oracle_budget():
+    # holed tori of side 6-15 with weights 1-8 and {0, 1}, and random
+    # complexes: both MHB engines give the earliest scan over the full tight
+    # list, and basis_cycles lists every tight cycle under the graph's
+    # annotations and every tight cycle of nonzero class under the
+    # complex's, flagged edges with no root endpoint included
+    rng = random.Random(2032)
+    complexes = [
+        *(_holed_torus(rng, side, 0.9, w) for side in (6, 9, 15) for w in ((1, 8), (0, 1))),
+        *(random_complex(rng, 8, 24) for _ in range(20)),
+    ]
+    bounded = [0, 0]
+    for k in complexes:
+        _check_reports(k)
+        g = skeleton(k)
+        bounded[0] += _check_basis_cycles(g)
+        bounded[1] += _check_basis_cycles(g, eliminate(g, k.boundaries))
+    assert min(bounded) > 0

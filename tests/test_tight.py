@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from minbasis.graph import (
     cycle_from_mask,
     cyclomatic_number,
     eliminate,
+    fundamental_cycles,
     shortest_path_keys,
     weighted_adjacency,
 )
@@ -251,7 +253,7 @@ def test_enumerate_forest_runs_no_dijkstra(monkeypatch, make):
     """A vertex on no edge allocates nothing of its own: at 10**6 vertices
     the peak is the graph's incidence tuple and the block search's two
     per-vertex lists, about 23 MiB."""
-    def no_kernel(adj, root):
+    def no_kernel(adj, root, limit=None):
         raise AssertionError("shortest-path tree built for a forest")
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", no_kernel)
@@ -413,9 +415,9 @@ def test_detour_of_three_edges_is_emitted_once(monkeypatch):
     # it then leaves the kernel runs of the later roots.
     seen = []
 
-    def recording_kernel(adj, root):
+    def recording_kernel(adj, root, limit=None):
         seen.append(any(bit == 0b1000 for row in adj for _, _, bit in row))
-        return shortest_path_keys(adj, root)
+        return shortest_path_keys(adj, root, limit)
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     g = Graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10), (0, 4, 1), (1, 4, 1)])
@@ -473,9 +475,9 @@ def test_multiplicity_matches_pairwise_filter_past_oracle_budget():
 def test_enumerate_runs_dijkstra_only_inside_cyclic_blocks(monkeypatch):
     calls = []
 
-    def counting_kernel(adj, root):
+    def counting_kernel(adj, root, limit=None):
         calls.append(len(adj))
-        return shortest_path_keys(adj, root)
+        return shortest_path_keys(adj, root, limit)
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", counting_kernel)
     path = path_graph(50)
@@ -492,9 +494,9 @@ def test_enumerate_runs_dijkstra_only_inside_cyclic_blocks(monkeypatch):
 def test_two_hop_detours_never_reach_the_kernel(monkeypatch):
     seen = []
 
-    def recording_kernel(adj, root):
+    def recording_kernel(adj, root, limit=None):
         seen.append({bit for row in adj for _, _, bit in row})
-        return shortest_path_keys(adj, root)
+        return shortest_path_keys(adj, root, limit)
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     # a unit square with two diagonals that its 2-edge sides beat
@@ -531,7 +533,7 @@ def test_cyclic_blocks_match_networkx():
 
 
 def test_enumerate_one_cycle_blocks_run_no_kernel(monkeypatch):
-    def no_kernel(adj, root):
+    def no_kernel(adj, root, limit=None):
         raise AssertionError("shortest-path tree built for a block that is one cycle")
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", no_kernel)
@@ -577,32 +579,82 @@ def _block_roots(g):
     ]
 
 
-def _check_basis_cycles(g):
-    """Each block is counted from the roots Z of its feedback vertex set
-    alone: the list must hold every tight cycle and nothing but distinct
-    simple cycles, and G - Z must be a forest in every block."""
-    rooted = basis_cycles(g, eliminate(g).annotation)
+def _basis_runs(g, annotation):
+    """(n, edges, classes, detours, roots, bounded) of each cyclic block that
+    is not one cycle, as ``basis_cycles`` counts it under ``annotation``:
+    ``classes`` are the block's edge annotations, ``detours`` the edges the
+    2-hop pre-test flags, ``roots`` the greedy's on the other edges, and
+    ``bounded`` maps the higher endpoint of each flagged edge with no
+    endpoint in the roots to the heaviest such edge there, the limit of
+    its one bounded kernel run."""
+    out = []
+    for block, n, edges in _local_blocks(g):
+        if len(edges) == n:
+            continue
+        classes = [annotation[i] for i in block]
+        detours = _two_hop_detours(n, edges)
+        unflagged = [i for i in range(len(edges)) if not detours >> i & 1]
+        roots = _feedback_vertex_set(
+            n, [edges[i] for i in unflagged], [classes[i] for i in unflagged]
+        )
+        bounded = {}
+        for i, (x, y, w) in enumerate(edges):
+            if detours >> i & 1 and x not in roots and y not in roots:
+                bounded[max(x, y)] = max(w, bounded.get(max(x, y), w))
+        out.append((n, edges, classes, detours, roots, bounded))
+    return out
+
+
+def _recorded_runs(g, annotation):
+    """``basis_cycles(g, annotation)`` and the (source, limit) of each of its
+    kernel runs, the limit None on a full run."""
+    runs = []
+
+    def recording_kernel(adj, root, limit=None):
+        runs.append((root, limit))
+        return shortest_path_keys(adj, root, limit)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
+        return basis_cycles(g, annotation), runs
+
+
+def _check_basis_cycles(g, elim=None):
+    """Each block is counted under the annotations of ``elim``, by default
+    the graph's own, from the roots Z of the greedy on the edges the 2-hop
+    pre-test does not flag; it runs the kernel fully from Z and once,
+    bounded, for the flagged edges at each vertex outside Z.  The list must
+    hold every tight cycle of nonzero class (under the graph's own
+    annotations, every tight cycle) and nothing but distinct simple cycles,
+    and every cycle of G - Z less the flagged edges must have class 0
+    (under the graph's own annotations, it is a forest).  Returns the
+    number of bounded runs."""
+    elim = elim or eliminate(g)
+    rooted, runs = _recorded_runs(g, elim.annotation)
     keys = [(c.base, c.mask) for c in rooted]
     assert keys == sorted(set(keys))
     assert all(_is_simple_cycle(g, c) for c in rooted)
     listed = enumerate_tight_cycles(g).cycles
     # both lists take their weights from the kernel's keys, never off the mask
     assert all(c.base == cycle_from_mask(g, c.mask).base for c in [*rooted, *listed])
-    assert {c.mask for c in listed} <= {c.mask for c in rooted}
-    for n, edges, roots in _block_roots(g):
+    assert {c.mask for c in listed if elim.remainder(c.mask)} <= {c.mask for c in rooted}
+    blocks = _basis_runs(g, elim.annotation)
+    want = [(r, None) for *_, roots, _ in blocks for r in roots]
+    want += [run for *_, bounded in blocks for run in bounded.items()]
+    assert Counter(runs) == Counter(want)
+    for n, edges, classes, detours, roots, bounded in blocks:
         assert roots == sorted(set(roots)) and set(roots) <= set(range(n))
-        tree = list(range(n))  # a union-find over the forest, written afresh
-
-        def top(x):
-            while tree[x] != x:
-                x = tree[x]
-            return x
-
-        for x, y, _ in edges:
-            if x not in roots and y not in roots:
-                a, b = top(x), top(y)
-                assert a != b, "an edge closes a cycle outside the roots"
-                tree[a] = b
+        assert not set(bounded) & set(roots)
+        inside = [
+            i for i, (x, y, _) in enumerate(edges)
+            if x not in roots and y not in roots and not detours >> i & 1
+        ]
+        for c in fundamental_cycles(Graph(n, [edges[i] for i in inside])):
+            a = 0
+            for j in c.edge_indices():
+                a ^= classes[inside[j]]
+            assert not a, "a cycle of nonzero class avoids the roots"
+    return sum(len(bounded) for *_, bounded in blocks)
 
 
 @settings(max_examples=80, deadline=None)
@@ -621,8 +673,8 @@ def _seeded_graphs():
 
 
 def test_basis_cycles_hold_every_tight_cycle_on_seeded_graphs():
-    for g in _seeded_graphs():
-        _check_basis_cycles(g)
+    # flagged edges with no root endpoint get their cycles from bounded runs
+    assert sum(_check_basis_cycles(g) for g in _seeded_graphs()) > 0
 
 
 def test_feedback_roots_match_the_recorded_lists():
@@ -671,9 +723,9 @@ def test_only_blocks_off_edges_0_to_k_decode_their_masks(monkeypatch):
 def test_basis_cycles_run_the_kernel_from_the_roots_only(monkeypatch):
     runs = []
 
-    def recording_kernel(adj, root):
+    def recording_kernel(adj, root, limit=None):
         runs.append(root)
-        return shortest_path_keys(adj, root)
+        return shortest_path_keys(adj, root, limit)
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     # K4: vertices 0 and 1 make the forest, and 2 and 3 each close a cycle in it
@@ -681,3 +733,42 @@ def test_basis_cycles_run_the_kernel_from_the_roots_only(monkeypatch):
     rooted = basis_cycles(g, eliminate(g).annotation)
     assert {c.mask for c in rooted} == canonical(enumerate_tight_cycles(g))
     assert runs == [2, 3, 0, 1, 2, 3]
+
+
+def test_bounded_run_settles_the_level_of_its_limit():
+    # The edge (2, 0) of weight 2 ties its detour 2-1-0 (weights 2 and 0) on
+    # weight and loses on the bit set, so the pre-test flags it.  The other
+    # edges form the square 2-1-0-3, whose greedy makes 3 its only root, so
+    # the flagged edge has no root endpoint: its cycle comes from one run
+    # from 2 bounded at 2, which reaches 0 only through the zero-weight edge
+    # inside level 2, so that level must be settled before the run stops.
+    g = Graph(4, [(2, 1, 2), (1, 0, 0), (2, 0, 2), (0, 3, 3), (3, 2, 3)])
+    assert _two_hop_detours(g.n, g.edges) == 0b100
+    rooted, runs = _recorded_runs(g, eliminate(g).annotation)
+    assert runs == [(2, 2), (3, None)]
+    assert [(c.base, c.mask) for c in rooted] == [(4, 0b111), (8, 0b11011)]
+    assert [(c.base, c.mask) for c in rooted] == [
+        (c.base, c.mask) for c in _filtered_tight(g, apsp(g))
+    ]
+    assert _check_basis_cycles(g) == 1
+
+
+def test_one_pre_test_per_block(monkeypatch):
+    # each block that is not one cycle runs the 2-hop pre-test once, before
+    # its roots are chosen, for both lists; a block that is one cycle none
+    calls = []
+
+    def counting(n, edges):
+        calls.append(n)
+        return _two_hop_detours(n, edges)
+
+    monkeypatch.setattr("minbasis.tight._two_hop_detours", counting)
+    rng = random.Random(32)
+    for g in (_glued_graph(rng) for _ in range(20)):
+        blocks = [n for _, n, edges in _local_blocks(g) if len(edges) != n]
+        calls.clear()
+        basis_cycles(g, eliminate(g).annotation)
+        assert calls == blocks
+        calls.clear()
+        enumerate_tight_cycles(g)
+        assert calls == blocks

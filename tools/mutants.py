@@ -18,10 +18,12 @@ the unmutated tests there.  For each mutant it edits that copy, runs
 ``python -m pytest -x -q`` over the test files in name order, the
 exhaustive ``test_atlas.py`` last, with ``PYTHONPATH=src`` under a timeout of
 ``TIMEOUT_FACTOR`` times the unmutated run's seconds (a timeout counts
-as killed), then restores the file.  It prints the killed, equivalent
-and surviving counts, and exits 1 when an outcome differs from the
-expected one: a mutant expected killed that survives, or an equivalent
-one that is killed.  ``--check`` runs no test; it exits 1 unless each
+as killed), then restores the file.  Each killed mutant is printed with
+its first failing test node, read from pytest's ``FAILED`` (or ``ERROR``)
+summary line, or ``timeout``.  The run ends with the killed, equivalent
+and surviving counts and the killing node of each killed mutant, and
+exits 1 when an outcome differs from the expected one: a mutant expected
+killed that survives, or an equivalent one that is killed.  ``--check`` runs no test; it exits 1 unless each
 live ``old`` text occurs exactly once in its file and each gone one not
 at all.
 """
@@ -66,25 +68,38 @@ def check(mutants: list[dict]) -> list[str]:
     return problems
 
 
-def run_tests(tree: Path, timeout: float | None = None) -> tuple[bool, float]:
-    """(passed, seconds) of ``pytest -x -q`` in ``tree``, stopped after
-    ``timeout`` seconds when given; a timeout is a failure."""
+def first_failure(output: str) -> str:
+    """The first test node named on a ``FAILED`` line of pytest's short
+    summary, else on an ``ERROR`` line, else ``?``."""
+    summary = output.rpartition("short test summary info")[2]
+    for tag in ("FAILED ", "ERROR "):
+        for line in summary.splitlines():
+            if line.startswith(tag):
+                return line[len(tag):].split(" - ", 1)[0]
+    return "?"
+
+
+def run_tests(tree: Path, timeout: float | None = None) -> tuple[bool, float, str]:
+    """(passed, seconds, first failing node) of ``pytest -x -q`` in ``tree``,
+    stopped after ``timeout`` seconds when given; a timeout is a failure,
+    whose node reads ``timeout``.  The node is empty when the tests pass."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     files = sorted((tree / "tests").glob("test_*.py"), key=lambda p: (p.name == LAST, p.name))
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *map(str, files)]
     t0 = time.perf_counter()
     # a session of its own, so a timeout stops the CLI subprocesses tests start too
     proc = subprocess.Popen(
-        cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        start_new_session=True,
+        cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        start_new_session=True, text=True,
     )
     try:
-        passed = proc.wait(timeout=timeout) == 0
+        output = proc.communicate(timeout=timeout)[0]
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
-        passed = False
-    return passed, time.perf_counter() - t0
+        proc.communicate()
+        return False, time.perf_counter() - t0, "timeout"
+    passed = proc.returncode == 0
+    return passed, time.perf_counter() - t0, "" if passed else first_failure(output)
 
 
 def main() -> int:
@@ -104,7 +119,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="minbasis-mutants-") as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
-        passed, secs = run_tests(tree)
+        passed, secs, _ = run_tests(tree)
         if not passed:
             print(f"the unmutated tests fail ({secs:.1f} s); no mutant was run")
             return 2
@@ -112,26 +127,32 @@ def main() -> int:
         print(f"unmutated: passed ({secs:.1f} s); mutants time out after {timeout:.1f} s")
         counts = {"killed": 0, "equivalent": 0, "surviving": 0}
         mismatched = []
+        killers = []
         for m in live:
             path = tree / m["file"]
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(m["old"], m["new"], 1), encoding="utf-8")
             try:
-                passed, secs = run_tests(tree, timeout)
+                passed, secs, killer = run_tests(tree, timeout)
             finally:
                 path.write_text(original, encoding="utf-8")
             if not passed:
                 outcome = "killed"
+                killers.append((m["name"], killer))
             else:
                 outcome = "equivalent" if m["expect"] == "equivalent" else "surviving"
             counts[outcome] += 1
             if outcome != m["expect"]:
                 mismatched.append(m["name"])
-            print(f"{outcome:<10} {m['name']} ({secs:.1f} s, expected {m['expect']})", flush=True)
+            by = f" by {killer}" if killer else ""
+            print(f"{outcome:<10} {m['name']} ({secs:.1f} s, expected {m['expect']}){by}", flush=True)
 
     gone = sum(m["expect"] == "gone" for m in mutants)
     print(f"killed {counts['killed']}, equivalent {counts['equivalent']}, "
           f"surviving {counts['surviving']}, gone {gone} (not run)")
+    print("first failing test of each killed mutant:")
+    for name, killer in killers:
+        print(f"  {name}: {killer}")
     for name in mismatched:
         print(f"unexpected outcome: {name}")
     return 1 if mismatched else 0
