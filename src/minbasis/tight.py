@@ -27,18 +27,22 @@ path, and the two paths of a candidate meet only at the root exactly
 when their edge masks are disjoint.  One root's masks are held at a
 time, never the all-pairs table.  ``is_tight`` is an independent checker
 from the all-pairs table: a cycle is tight exactly when every pairwise
-shortest path between its vertices lies on it.
+shortest path between its vertices lies on it.  ``apsp`` builds that
+table over every edge, with no pre-test, so the checker shares none of
+the enumerator's edge removals.
 
 With every vertex a root, E2 is every edge, the test is count == edge
 count, and the kept masks are exactly the tight cycles:
-``enumerate_tight_cycles`` and ``tight-cycles`` list them.  With fewer
+``basis_cycles(g)`` with no annotation lists them, and so
+``enumerate_tight_cycles`` and ``tight-cycles`` do.  With fewer
 roots every tight cycle that passes a root is still kept, and a few
-cycles that are not tight may be kept too.  ``basis_cycles``, the list
-every basis engine reads, takes its roots from the edge annotations of
-``graph.eliminate``, a cycle's class being the XOR of its edges'
+cycles that are not tight may be kept too.  Given the edge annotations
+of ``graph.eliminate``, a cycle's class being the XOR of its edges'
 (Busaryev, Cabello, Chen, Dey and Wang, *Annotating simplices with a
 homology basis and its applications*, SWAT 2012; Dey, Li and Wang,
-LATIN 2018), on the edges the 2-hop pre-test (below) does not flag.
+LATIN 2018), ``basis_cycles``, the list every basis engine reads, takes
+its roots from them on the adjacency the 2-hop pre-test (below) builds
+of the edges it does not flag.
 One greedy grows F = V - Z in each block over those edges with a
 union-find that carries XOR potentials and makes a vertex a root only
 when it would close a cycle of nonzero class inside F, so every such
@@ -97,8 +101,10 @@ P(x, y).  Such edges leave both the kernel and the counting scan:
     it keeps its exact multiplicity.
 
 A cheap pre-test flags the edges that a parallel edge or a two-edge path
-beats.  It runs once per block, before the roots are chosen, and the
-flagged edges never enter the kernel or the scan.  Every edge with an
+beats.  It runs once per block, before the roots are chosen, and builds
+the block's only adjacency from its rows of lightest edges, less the
+flagged ones; the root greedy and the kernel both read it, so the
+flagged edges never enter the greedy, the kernel or the scan.  Every edge with an
 endpoint in Z has its geodesy tested once, at the root of its lowest
 endpoint x in Z: by (a) that root's ``tie[y]`` is P(x, y), so xy is
 geodesic exactly when ``tie[y]`` is xy alone.  An edge that passes there
@@ -127,8 +133,8 @@ algorithm to find the shortest cycle basis of a graph*, SIAM J. Comput.
 least two edges and the kernel runs only inside them; forests, pendant
 trees and bridges cost O(n + m).  A block with as many edges as vertices
 is one cycle, which is its only tight cycle, and chooses no roots and
-runs no kernel.  Each block's adjacency is built with its
-vertices and edges relabeled in increasing original order.  The
+runs no kernel.  Each block is described with its vertices and edges
+relabeled in increasing original order.  The
 tie-break compares edge bit sets as integers and a monotone relabeling
 keeps every such comparison, so the shortest paths, candidates and
 multiplicities are those of the whole graph: a simple shortest path
@@ -140,7 +146,7 @@ same cut vertex, so the simple-cycle test rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .gf2 import bit_indices, bit_mask
 from .graph import AllPairs, Cycle, Graph, PerturbedWeight
@@ -158,14 +164,18 @@ class TightCycleSet:
         return sum(c.edge_count() for c in self.cycles)
 
 
-def _two_hop_detours(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
-    """Bit set of the edges that a parallel edge or a two-edge path beats.
+def _block_adjacency(n: int, edges: Iterable[tuple[int, int, int]]) -> tuple[int, Adjacency]:
+    """(flagged, adj) of one block: the 2-hop pre-test's flags and the
+    block's only adjacency, its rows holding the edges it does not flag.
 
     Edge i = (x, y, w) is flagged when a parallel edge is lighter in the
     (weight, edge bit set) order, or when some z has lightest edges
     (x, z, w1, b1) and (z, y, w2, b2) with ``(w1 + w2, b1 | b2)`` below
     ``(w, 1 << i)``.  Either way the edge is not the shortest x-y path,
-    so every flagged edge is non-geodesic.
+    so every flagged edge is non-geodesic.  ``adj[x]`` holds a
+    ``(y, w, bit)`` row for each unflagged edge xy, read from the per-vertex
+    dicts of lightest edges that the test builds; every parallel edge but
+    the lightest is flagged, so no row names a neighbour twice.
     """
     lightest: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
     flagged = 0
@@ -191,36 +201,33 @@ def _two_hop_detours(n: int, edges: Iterable[tuple[int, int, int]]) -> int:
                 if t is not None and (w1 + t[0] < w or w1 + t[0] == w and b1 | t[1] < bit):
                     flagged |= bit
                     break
-    return flagged
+    adj = [[(y, w, bit) for y, (w, bit) in near.items() if not flagged & bit] for near in lightest]
+    return flagged, adj
 
 
-def _feedback_vertex_set(
-    n: int, edges: list[tuple[int, int, int]], annotation: list[int]
-) -> list[int]:
+def _feedback_vertex_set(adj: Adjacency, classes: list[int]) -> list[int]:
     """Sorted roots of one block: the vertices left out of an induced subgraph F.
 
-    ``edges`` are the block's (x, y, weight) on vertices 0..n-1 and
-    ``annotation`` gives each edge its class.  F grows over the vertices in
-    increasing block degree, ties broken by label, and a union-find over F
-    carries XOR potentials, the class of a vertex's path in F to its tree's
-    root.  A vertex becomes a root when two of its edges reach one tree at
-    different potentials, closing a cycle of nonzero class inside F, so
-    every such cycle passes a root.  Under a graph's annotations every
-    cycle has a nonzero class, and G - roots is a forest.
+    ``adj`` is the block's adjacency on vertices 0..n-1, rows ``(y, w,
+    bit)`` with bit i for edge i, and ``classes[i]`` is the class of edge
+    i.  F grows over the vertices in increasing degree in ``adj``, ties
+    broken by label, and a union-find over F carries XOR potentials, the
+    class of a vertex's path in F to its tree's root.  A vertex becomes a
+    root when two of its edges reach one tree at different potentials,
+    closing a cycle of nonzero class inside F, so every such cycle passes a
+    root.  Neither test depends on the order of a row, so the roots do
+    not either.  Under a graph's annotations every cycle has a nonzero
+    class, and the graph of ``adj`` less the roots is a forest.
     """
-    near: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (x, y, _) in enumerate(edges):
-        near[x].append((y, i))
-        near[y].append((x, i))
     parent: dict[int, int] = {}  # the union-find over the trees of F; its keys are F
     potential: dict[int, int] = {}
     roots: list[int] = []
-    for v in sorted(range(n), key=lambda v: len(near[v])):
+    for v in sorted(range(len(adj)), key=lambda v: len(adj[v])):
         reach: dict[int, int] = {}  # tree of F -> v's potential below its root
-        for u, i in near[v]:
+        for u, _, bit in adj[v]:
             if u in parent:
                 t = find(parent, u, potential)
-                p = potential[u] ^ annotation[i]
+                p = potential[u] ^ classes[bit.bit_length() - 1]
                 if reach.get(t, p) != p:
                     roots.append(v)
                     break
@@ -235,7 +242,7 @@ def _feedback_vertex_set(
 
 
 def _block_tight_masks(
-    n: int, edges: list[tuple[int, int, int]], detours: int, roots: list[int]
+    edges: list[tuple[int, int, int]], detours: int, adj: Adjacency, roots: list[int]
 ) -> list[tuple[int, int]]:
     """(weight, edge mask) keys of one block's cycles counted from ``roots``:
     the tight cycle of every edge in ``detours``, every tight cycle of the
@@ -243,10 +250,12 @@ def _block_tight_masks(
     tight.
 
     ``edges`` are the block's (x, y, weight) on vertices 0..n-1, bit i
-    being edge i, ``detours`` is the bit set ``_two_hop_detours`` flags on
-    them, and ``roots`` are increasing vertices Z.  With every vertex a
-    root the masks are exactly the block's tight cycles.  The block is not
-    one cycle; ``_rooted_cycles`` emits such a block whole.
+    being edge i, and ``detours`` and ``adj`` are what ``_block_adjacency``
+    returns for them: the flagged edges and the adjacency of the others,
+    which the kernel reads and which nothing else builds.  ``roots`` are
+    increasing vertices Z.  With every vertex a root the masks are exactly
+    the block's tight cycles.  The block is not one cycle; ``basis_cycles``
+    emits such a block whole.
 
     The kernel runs from each root in increasing order, ``tie[x]``
     being the edge set of the root -> x path.  A candidate path(v,x) +
@@ -279,13 +288,16 @@ def _block_tight_masks(
     ``counts.items()``.
 
     The flagged edges never enter the kernel's adjacency or ``live``, the
-    scan's edges keyed by bit in edge order.  Each edge with an endpoint in
-    Z is tested once, flagged or not, at its lowest endpoint x in Z (the
+    scan's edges keyed by bit in edge order.  An unflagged edge's bit in
+    ``live`` and ``tested_at`` is the int object its adjacency rows hold,
+    so no bit of the scan is held twice.  Each edge with an endpoint in Z
+    is tested once, flagged or not, at its lowest endpoint x in Z (the
     module docstring says why once is enough): when ``tie[y] != bit`` it is
     non-geodesic and its one tight cycle ``tie[y] | bit``, of weight
     ``base[y] + w``, is emitted.  An unflagged edge that fails leaves the
     kernel and the scan by one pop from ``live`` and one removal from each
-    endpoint's adjacency; a flagged edge's pop finds nothing.  An unflagged
+    endpoint's row, after the root greedy has read them; a flagged edge's
+    pop finds nothing.  An unflagged
     edge with no endpoint in Z is never tested: it stays in the kernel and
     the scan, where it changes no key and its one tight cycle, if
     non-geodesic, is kept by count.
@@ -295,16 +307,20 @@ def _block_tight_masks(
     bounded by the group's heaviest edge, gives each edge xy its P(x, y):
     P(x, y) beats xy, so it weighs at most w and its key is exact.
     """
+    n = len(adj)
     is_root = [False] * n
     for r in roots:
         is_root[r] = True
-    adj: Adjacency = [[] for _ in range(n)]
+    bits = [0] * len(edges)  # the rows' own bit objects, 0 for a flagged edge
+    for row in adj:
+        for _, _, bit in row:
+            bits[bit.bit_length() - 1] = bit
     live: dict[int, tuple[int, int, int, int]] = {}
     tested_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     uncovered: dict[int, list[tuple[int, int, int]]] = {}  # flagged, no endpoint in Z
     ends = [0, 0, 0]  # ends[k]: the edges with k endpoints in Z
-    bit = 1
-    for x, y, w in edges:
+    for i, (x, y, w) in enumerate(edges):
+        bit = bits[i] or 1 << i
         if y < x:
             x, y = y, x
         if not is_root[x]:
@@ -314,12 +330,10 @@ def _block_tight_masks(
         if k:
             tested_at[x].append((y, w, bit))
         if not detours & bit:
-            adj[x].append((y, w, bit))
-            adj[y].append((x, w, bit))
             live[bit] = (x, y, w, bit)
         elif not k:
             uncovered.setdefault(x, []).append((y, w, bit))
-        bit <<= 1
+    del bits  # the scan holds the bits it needs; this list is 8 bytes an edge
     kept: list[tuple[int, int]] = []
     for x, group in uncovered.items():
         base, tie = shortest_path_keys(adj, x, max(w for _, w, _ in group))
@@ -506,31 +520,44 @@ def _local_blocks(g: Graph) -> Iterator[tuple[list[int], int, list[tuple[int, in
         yield block, len(verts), edges
 
 
-def _rooted_cycles(
-    g: Graph, roots_of: Callable[[list[int], int, list[tuple[int, int, int]], int], list[int]]
-) -> list[Cycle]:
-    """The cycles ``_block_tight_masks`` keeps in each cyclic block from the
-    roots ``roots_of(block, n, edges, detours)``, lifted to ``g`` and sorted
-    by weight.
+def basis_cycles(g: Graph, annotation: Optional[list[int]] = None) -> list[Cycle]:
+    """Simple cycles sorted by tie-broken weight: the list the basis engines read.
+
+    Each cyclic block is described once: ``_block_adjacency`` flags the
+    edges the 2-hop pre-test beats and builds the adjacency of the others,
+    which both the root greedy and the kernel read.  With ``annotation``
+    None every block vertex is a root and the list is exactly the tight
+    cycles.  Otherwise ``annotation`` gives the classes of an elimination
+    of ``g`` and each block is counted from the roots of
+    ``_feedback_vertex_set`` on that adjacency.  The list then holds the
+    tight cycle of every flagged edge, every tight cycle of nonzero class
+    (with no boundaries, every tight cycle) and possibly a few more, so it
+    is a plain list and not a ``TightCycleSet``.  The module docstring says
+    why the engines pick the same cycles, with the same certificate, from
+    it as from the tight list.
 
     A block with as many edges as vertices is one cycle, its only tight
     cycle, and is emitted whole, weighing the sum of its edges, with no
-    roots and no kernel run.  Any other block runs ``_two_hop_detours``
-    once, before its roots are chosen.  Each cycle keeps the weight its
-    block's key carries.  A block's masks are lifted to the original edge
-    indices only when the block is not edges 0..k-1, for which the
-    relabeling is the identity, so a graph that is one block with every
-    edge lifts nothing.  The merged list is sorted by (weight, edge bit
-    set), so the root order that decides insertion and detection does not
-    show in the output.
+    pre-test, roots or kernel run.  Each cycle keeps the weight its block's
+    key carries.  A block's masks are lifted to the original edge indices
+    only when the block is not edges 0..k-1, for which the relabeling is
+    the identity, so a graph that is one block with every edge lifts
+    nothing.  The merged list is sorted by (weight, edge bit set), so the
+    root order that decides insertion and detection does not show in the
+    output.
     """
     keys: list[tuple[int, int]] = []
     for block, n, edges in _local_blocks(g):
         if len(edges) == n:
             found = [(sum(w for _, _, w in edges), (1 << n) - 1)]
         else:
-            detours = _two_hop_detours(n, edges)
-            found = _block_tight_masks(n, edges, detours, roots_of(block, n, edges, detours))
+            detours, adj = _block_adjacency(n, edges)
+            if annotation is None:
+                roots = list(range(n))
+            else:
+                roots = _feedback_vertex_set(adj, [annotation[e] for e in block])
+            found = _block_tight_masks(edges, detours, adj, roots)
+            del adj  # the merge below does not hold the last block's rows
         if block[-1] != len(block) - 1:  # the sorted block is not edges 0..k-1
             found = [(w, bit_mask([block[i] for i in bit_indices(mask)])) for w, mask in found]
         keys += found
@@ -538,43 +565,20 @@ def _rooted_cycles(
 
 
 def enumerate_tight_cycles(g: Graph, pairs: AllPairs | None = None) -> TightCycleSet:
-    """All tight cycles of the graph, sorted by tie-broken weight.
+    """All tight cycles of the graph, sorted by tie-broken weight:
+    ``basis_cycles`` with every block vertex a root.
 
-    Works one biconnected block at a time, with every block vertex a root.
-    A block with as many edges as vertices is one cycle and is emitted
-    whole.  In any other block the shortest-path kernel runs from each
-    vertex in increasing order; each candidate is inserted into the count
-    table at its lowest vertex only, and the candidates generated by all
-    their vertices are kept.  A non-geodesic edge xy, one that is not
+    In a block that is not one cycle the shortest-path kernel runs from
+    each vertex in increasing order; each candidate is inserted into the
+    count table at its lowest vertex only, and the candidates generated by
+    all their vertices are kept.  A non-geodesic edge xy, one that is not
     itself the shortest x-y path P(x, y), is dropped from the kernel and
     the scan and emits P(x, y) + xy once: (a) it lies on no shortest path,
     so no key changes; (b) P(x, y) + xy is its only tight cycle; (c) that
     cycle is never also kept by count, since xy, its joining edge at every
     vertex, has left the scan; (d) cycles of geodesic edges keep their
-    exact counts.  ``pairs`` is accepted for existing callers and ignored.
+    exact counts.  ``pairs`` is accepted for existing callers and ignored:
+    ``apsp`` builds it over every edge for ``is_tight``, which thus shares
+    no pre-test with this enumerator.
     """
-    return TightCycleSet(_rooted_cycles(g, lambda block, n, edges, detours: list(range(n))))
-
-
-def basis_cycles(g: Graph, annotation: list[int]) -> list[Cycle]:
-    """Simple cycles sorted by tie-broken weight: the list the basis engines read.
-
-    Each block is counted from the roots of ``_feedback_vertex_set`` on the
-    edges the 2-hop pre-test does not flag, ``annotation`` being the classes
-    of an elimination of ``g``.  The list holds the tight cycle of every
-    flagged edge, every tight cycle of nonzero class (with no boundaries,
-    every tight cycle) and possibly a few more, so it is a plain list and
-    not a ``TightCycleSet``.  The module docstring says why the engines
-    pick the same cycles, with the same certificate, from it as from the
-    tight list.
-    """
-
-    def roots_of(
-        block: list[int], n: int, edges: list[tuple[int, int, int]], detours: int
-    ) -> list[int]:
-        unflagged = [i for i in range(len(edges)) if not detours >> i & 1]
-        return _feedback_vertex_set(
-            n, [edges[i] for i in unflagged], [annotation[block[i]] for i in unflagged]
-        )
-
-    return _rooted_cycles(g, roots_of)
+    return TightCycleSet(basis_cycles(g))

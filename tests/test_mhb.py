@@ -24,6 +24,7 @@ from minbasis.graph import (
     eliminate,
     fundamental_cycles,
     shortest_path_keys,
+    weighted_adjacency,
 )
 from minbasis.mcb import ENGINES, BasisReport, mcb_earliest
 from minbasis.mhb import homologous, mhb_tight, mhb_via_mcb
@@ -374,7 +375,7 @@ def _check_annotations(k):
         assert homologous(k, cycle_from_mask(g, z1), cycle_from_mask(g, z2)) == in_span(z1 ^ z2)
     for block, n, edges in _local_blocks(g):
         local = [annotation[i] for i in block]
-        roots = _feedback_vertex_set(n, edges, local)
+        roots = _feedback_vertex_set(weighted_adjacency(n, edges), local)
         assert roots == sorted(set(roots)) and set(roots) <= set(range(n))
         inside = [i for i, (x, y, _) in enumerate(edges) if x not in roots and y not in roots]
         within_f = Graph(n, [edges[i] for i in inside])
@@ -422,7 +423,7 @@ def test_mhb_tight_runs_the_kernel_from_the_homology_roots_only(monkeypatch):
     assert full == homology_roots
     assert sorted(run for run in runs if run[1] is not None) == sorted(bounded.items())
     assert bounded and detours
-    every_edge_roots = _feedback_vertex_set(n, edges, [unit[i] for i in block])
+    every_edge_roots = _feedback_vertex_set(weighted_adjacency(n, edges), [unit[i] for i in block])
     assert len(full) < len(unit_roots) < len(every_edge_roots)
     assert len(report.cycles) == homology_profile(k).beta1 > 0
 

@@ -32,10 +32,10 @@ from minbasis.graph import (
 )
 from minbasis.oracle import all_cycle_vectors, brute_tight_cycles
 from minbasis.tight import (
+    _block_adjacency,
     _cyclic_blocks,
     _feedback_vertex_set,
     _local_blocks,
-    _two_hop_detours,
     basis_cycles,
     enumerate_tight_cycles,
     horton_candidates,
@@ -269,6 +269,25 @@ def test_enumerate_forest_runs_no_dijkstra(monkeypatch, make):
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_basis_cycles_memory_on_unit_k60():
+    """Unit K60 has 34,220 tight triangles, each held as a 1,770-bit mask,
+    so the list is the Theta(n^5) part of the peak: 10.4 MiB on Python
+    3.11, and 15.4 MiB when the one block also holds a lifted copy of it.
+    The bound leaves 15% for other Python versions' object sizes; it
+    bounds memory only, never time."""
+    n = 60
+    g = Graph(n, [(u, v, 1) for v in range(n) for u in range(v)])
+    annotation = eliminate(g).annotation
+    tracemalloc.start()
+    try:
+        cycles = basis_cycles(g, annotation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cycles) == n * (n - 1) * (n - 2) // 6
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_enumerate_petersen():
     g = petersen()
     tcs = enumerate_tight_cycles(g)
@@ -396,7 +415,7 @@ def test_non_geodesic_edge_lies_in_exactly_one_tight_cycle():
     for g in graphs:
         pairs = apsp(g)
         tight = [c.mask for c in enumerate_tight_cycles(g).cycles]
-        detours = _two_hop_detours(g.n, g.edges)
+        detours, _ = _block_adjacency(g.n, g.edges)
         for i, e in enumerate(g.edges):
             bit = 1 << i
             tie = pairs.table[e.u][e.v].tie
@@ -421,7 +440,7 @@ def test_detour_of_three_edges_is_emitted_once(monkeypatch):
 
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     g = Graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10), (0, 4, 1), (1, 4, 1)])
-    assert _two_hop_detours(g.n, g.edges) == 0
+    assert _block_adjacency(g.n, g.edges)[0] == 0
     enumerate_tight_cycles(g)
     assert seen == [True, False, False, False, False]
     detour_cycle = 0b1111
@@ -501,10 +520,40 @@ def test_two_hop_detours_never_reach_the_kernel(monkeypatch):
     monkeypatch.setattr("minbasis.tight.shortest_path_keys", recording_kernel)
     # a unit square with two diagonals that its 2-edge sides beat
     g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 5), (1, 3, 2)])
-    assert _two_hop_detours(g.n, g.edges) == 0b110000
+    assert _block_adjacency(g.n, g.edges)[0] == 0b110000
     tcs = enumerate_tight_cycles(g)
     assert [c.edge_indices() for c in tcs.cycles] == [(0, 1, 2, 3), (1, 2, 5), (0, 1, 4)]
     assert seen == [{1, 2, 4, 8}] * 4
+
+
+@pytest.mark.parametrize(
+    "palette", [(0,), (0, 1), tuple(range(1, 9)), (0, MAX_WEIGHT)], ids=["0", "01", "1-8", "0-max"]
+)
+def test_block_adjacency_holds_the_unflagged_edges(palette):
+    """Each unflagged edge is one row in each endpoint's list, no flagged
+    edge is in any, no row names a neighbour twice, and the kernel gives the
+    same keys on these rows as on every edge."""
+    rng = random.Random(2033)
+    parallel = 0
+    for _ in range(40):
+        n = rng.randint(2, 14)
+        ends = [rng.sample(range(n), 2) for _ in range(rng.randint(1, 3 * n))]
+        edges = [(u, v, rng.choice(palette)) for u, v in ends]
+        edges += rng.sample(edges, rng.randint(0, min(4, len(edges))))  # parallel copies
+        parallel += len({frozenset(e[:2]) for e in edges}) < len(edges)
+        flagged, adj = _block_adjacency(n, edges)
+        want = [[] for _ in range(n)]
+        for i, (x, y, w) in enumerate(edges):
+            if not flagged >> i & 1:
+                want[x].append((y, w, 1 << i))
+                want[y].append((x, w, 1 << i))
+        assert [sorted(row) for row in adj] == [sorted(row) for row in want]
+        assert all(len({y for y, _, _ in row}) == len(row) for row in adj)
+        every_edge = weighted_adjacency(n, edges)
+        assert all(
+            shortest_path_keys(adj, r) == shortest_path_keys(every_edge, r) for r in range(n)
+        )
+    assert parallel > 20
 
 
 def test_cyclic_blocks_match_networkx():
@@ -570,11 +619,11 @@ def _is_simple_cycle(g, c):
 
 
 def _block_roots(g):
-    """(n, edges, roots) of each cyclic block, the roots taken as the MCB
-    engines take them: under the annotation of the graph's elimination."""
+    """(n, edges, roots) of each cyclic block, the roots of the greedy on
+    every edge under the annotation of the graph's elimination."""
     annotation = eliminate(g).annotation
     return [
-        (n, edges, _feedback_vertex_set(n, edges, [annotation[i] for i in block]))
+        (n, edges, _feedback_vertex_set(weighted_adjacency(n, edges), [annotation[i] for i in block]))
         for block, n, edges in _local_blocks(g)
     ]
 
@@ -583,7 +632,8 @@ def _basis_runs(g, annotation):
     """(n, edges, classes, detours, roots, bounded) of each cyclic block that
     is not one cycle, as ``basis_cycles`` counts it under ``annotation``:
     ``classes`` are the block's edge annotations, ``detours`` the edges the
-    2-hop pre-test flags, ``roots`` the greedy's on the other edges, and
+    2-hop pre-test flags, ``roots`` the greedy's on the adjacency of the
+    other edges that the pre-test returns, and
     ``bounded`` maps the higher endpoint of each flagged edge with no
     endpoint in the roots to the heaviest such edge there, the limit of
     its one bounded kernel run."""
@@ -592,11 +642,8 @@ def _basis_runs(g, annotation):
         if len(edges) == n:
             continue
         classes = [annotation[i] for i in block]
-        detours = _two_hop_detours(n, edges)
-        unflagged = [i for i in range(len(edges)) if not detours >> i & 1]
-        roots = _feedback_vertex_set(
-            n, [edges[i] for i in unflagged], [classes[i] for i in unflagged]
-        )
+        detours, adj = _block_adjacency(n, edges)
+        roots = _feedback_vertex_set(adj, classes)
         bounded = {}
         for i, (x, y, w) in enumerate(edges):
             if detours >> i & 1 and x not in roots and y not in roots:
@@ -743,7 +790,7 @@ def test_bounded_run_settles_the_level_of_its_limit():
     # from 2 bounded at 2, which reaches 0 only through the zero-weight edge
     # inside level 2, so that level must be settled before the run stops.
     g = Graph(4, [(2, 1, 2), (1, 0, 0), (2, 0, 2), (0, 3, 3), (3, 2, 3)])
-    assert _two_hop_detours(g.n, g.edges) == 0b100
+    assert _block_adjacency(g.n, g.edges)[0] == 0b100
     rooted, runs = _recorded_runs(g, eliminate(g).annotation)
     assert runs == [(2, 2), (3, None)]
     assert [(c.base, c.mask) for c in rooted] == [(4, 0b111), (8, 0b11011)]
@@ -754,15 +801,16 @@ def test_bounded_run_settles_the_level_of_its_limit():
 
 
 def test_one_pre_test_per_block(monkeypatch):
-    # each block that is not one cycle runs the 2-hop pre-test once, before
-    # its roots are chosen, for both lists; a block that is one cycle none
+    # each block that is not one cycle runs the 2-hop pre-test, which builds
+    # its one adjacency, once, before its roots are chosen, for both lists;
+    # a block that is one cycle none
     calls = []
 
     def counting(n, edges):
         calls.append(n)
-        return _two_hop_detours(n, edges)
+        return _block_adjacency(n, edges)
 
-    monkeypatch.setattr("minbasis.tight._two_hop_detours", counting)
+    monkeypatch.setattr("minbasis.tight._block_adjacency", counting)
     rng = random.Random(32)
     for g in (_glued_graph(rng) for _ in range(20)):
         blocks = [n for _, n, edges in _local_blocks(g) if len(edges) != n]
